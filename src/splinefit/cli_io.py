@@ -24,6 +24,7 @@ import argparse
 import csv
 import itertools
 import json
+import math
 import re
 import sys
 
@@ -122,6 +123,9 @@ def read_point_cloud(path) -> WeightedPointCloud:
                 numbers = [float(v) for v in fields[: n + d + has_w]]
             except ValueError as exc:
                 raise PointCloudFormatError(f"{path}:{lineno}: {exc}") from None
+            bad = [f for f, v in zip(fields, numbers) if not math.isfinite(v)]
+            if bad:
+                raise PointCloudFormatError(f"{path}:{lineno}: non-finite number {bad[0]!r}")
             sites.append(numbers[:n])
             values.append(numbers[n : n + d])
             if has_w:
@@ -202,9 +206,12 @@ def write_model(path, fn: SplineFunction) -> None:
         }
     else:
         raise ModelFormatError(f"cannot serialize space of type {type(space).__name__}")
+    try:
+        text = json.dumps(doc, indent=1, allow_nan=False)
+    except ValueError:
+        raise NumericError(f"{path}: model has non-finite values, not written") from None
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=1)
-        handle.write("\n")
+        handle.write(text + "\n")
 
 
 def read_model(path) -> SplineFunction:
@@ -369,23 +376,11 @@ def cmd_verify(args) -> int:
     cloud = read_point_cloud(args.cloud)
     if cloud.ndim != 1:
         raise _UsageError("verify expects curve data (one x column)")
-    sites = cloud.sites
-    degree = args.degree[0]
-    lo, hi = float(sites.min()), float(sites.max())
     if args.basis == "poly":
-        space = SplineSpace(make_open_knot_vector((lo, hi), degree, []))
+        lo, hi = float(cloud.sites.min()), float(cloud.sites.max())
+        space = SplineSpace(make_open_knot_vector((lo, hi), args.degree[0], []))
     else:
-        if args.knots in ("uniform", "averaging") or args.knots is None:
-            if args.interior_knots is None:
-                raise _UsageError("--basis spline needs --knots LIST or --interior-knots")
-            space = SplineSpace(
-                make_open_knot_vector(
-                    (lo, hi), degree, uniform_interior((lo, hi), args.interior_knots)
-                )
-            )
-        else:
-            values = [float(v) for v in args.knots.split(",")]
-            space = SplineSpace(KnotVector(np.asarray(values), degree))
+        space = _build_curve_space(args, cloud.sites)
 
     dec = decompose(space, cloud)
     B = collocation_matrix(space, cloud.sites)
@@ -518,15 +513,12 @@ def cmd_sample(args) -> int:
     for alpha in deriv_alphas:
         tag = "".join(str(a) for a in alpha)
         header += [f"d{tag}_v{k + 1}" for k in range(d)]
+    table = np.hstack([pts, fn.evaluate_many(pts)]
+                      + [fn.evaluate_many(pts, alpha) for alpha in deriv_alphas])
     with open(args.out, "w", newline="", encoding="utf-8") as handle:
         out = csv.writer(handle)
         out.writerow(header)
-        for x in pts:
-            row = [_fmt(v) for v in x]
-            row += [_fmt(v) for v in fn.evaluate(x)]
-            for alpha in deriv_alphas:
-                row += [_fmt(v) for v in fn.evaluate_derivative(x, alpha)]
-            out.writerow(row)
+        out.writerows([_fmt(v) for v in row] for row in table.tolist())
     print(f"wrote {pts.shape[0]} samples to {args.out}")
     return 0
 
@@ -539,7 +531,8 @@ def _build_parser() -> _Parser:
     verify.add_argument("--cloud", required=True)
     verify.add_argument("--basis", choices=("poly", "spline"), default="poly")
     verify.add_argument("--degree", type=_degree_list, default=[2])
-    verify.add_argument("--knots", default=None)
+    verify.add_argument("--knots", default="uniform",
+                        help="'uniform', 'averaging' or an explicit comma list")
     verify.add_argument("--interior-knots", type=int, default=None)
     verify.set_defaults(func=cmd_verify)
 

@@ -240,53 +240,27 @@ class HierarchicalSpace:
         keep = act[pos_c] == tensor_idx
         return self.offsets[level] + pos_c[keep], keep
 
+    def basis_matrix(self, sites, alpha=None) -> scipy.sparse.csr_matrix:
+        """Sparse matrix of the active functions, or their partial derivative ``alpha``, at the sites.
+
+        Each level's tensor matrix restricted to its active columns,
+        stacked level-major: ``hstack_l B_l[:, active_l]``.
+        """
+        blocks = [
+            space.basis_matrix(sites, alpha)[:, act]
+            for space, act in zip(self.levels, self.active)
+            if act.size
+        ]
+        return scipy.sparse.hstack(blocks, format="csr")
+
     def eval_basis(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Indices and values of the active functions supported at ``x``."""
-        idx_parts, val_parts = [], []
-        for lev, space in enumerate(self.levels):
-            if self.active[lev].size == 0:
-                continue
-            tidx, tvals = space.eval_basis(x)
-            gidx, keep = self._filter_active(lev, tidx)
-            if gidx.size:
-                idx_parts.append(gidx)
-                val_parts.append(tvals[keep])
-        if not idx_parts:
-            return np.empty(0, dtype=np.intp), np.empty(0)
-        return np.concatenate(idx_parts), np.concatenate(val_parts)
+        return self.eval_basis_derivatives(x, (0,) * self.ndim)
 
     def eval_basis_derivatives(self, x, alpha) -> tuple[np.ndarray, np.ndarray]:
-        idx_parts, val_parts = [], []
-        for lev, space in enumerate(self.levels):
-            if self.active[lev].size == 0:
-                continue
-            tidx, tvals = space.eval_basis_derivatives(x, alpha)
-            gidx, keep = self._filter_active(lev, tidx)
-            if gidx.size:
-                idx_parts.append(gidx)
-                val_parts.append(tvals[keep])
-        if not idx_parts:
-            return np.empty(0, dtype=np.intp), np.empty(0)
-        return np.concatenate(idx_parts), np.concatenate(val_parts)
-
-    def eval_basis_ders_pack(self, x, order: int) -> tuple[np.ndarray, dict]:
-        """Same contract as :meth:`SplineSpace.eval_basis_ders_pack`."""
-        idx_parts, packs_parts = [], []
-        for lev, space in enumerate(self.levels):
-            if self.active[lev].size == 0:
-                continue
-            tidx, packs = space.eval_basis_ders_pack(x, order)
-            gidx, keep = self._filter_active(lev, tidx)
-            if gidx.size:
-                idx_parts.append(gidx)
-                packs_parts.append({a: v[keep] for a, v in packs.items()})
-        if not idx_parts:
-            return np.empty(0, dtype=np.intp), {}
-        alphas = packs_parts[0].keys()
-        merged = {
-            a: np.concatenate([p[a] for p in packs_parts]) for a in alphas
-        }
-        return np.concatenate(idx_parts), merged
+        """Partial derivative ``alpha`` of the active functions supported at ``x``."""
+        row = self.basis_matrix(self.levels[0]._point(x)[None], alpha)
+        return row.indices, row.data
 
     def local_ders_on_grid(self, axes_pts, order: int, max_level=None) -> tuple[np.ndarray, dict]:
         """Derivative rows on a point grid inside one leaf cell.
@@ -319,20 +293,6 @@ class HierarchicalSpace:
     # ------------------------------------------------------------------
     # Cells
     # ------------------------------------------------------------------
-
-    def cell_of_point(self, x, level: int) -> tuple[int, ...]:
-        p = np.atleast_1d(np.asarray(x, dtype=float))
-        return tuple(
-            kv.cell_of(v) for kv, v in zip(self.levels[level].knot_vectors, p)
-        )
-
-    def finest_cell(self, x) -> CellId:
-        """The leaf cell of the tessellation containing ``x``."""
-        for lev in range(len(self.levels) - 1, -1, -1):
-            index = self.cell_of_point(x, lev)
-            if self.domains[lev][index]:
-                return CellId(lev, index)
-        raise AssertionError("level-0 subdomain covers the domain")  # pragma: no cover
 
     def _leaf_masks(self):
         for lev in range(len(self.levels)):
@@ -405,10 +365,17 @@ def mark_cells(h: HierarchicalSpace, sites, errors, eps: float) -> list[CellId]:
     errors = np.asarray(errors, dtype=float)
     if errors.shape != (sites.shape[0],):
         raise ValueError("errors must align with sites")
+    pending = sites[errors > eps]
     marked = set()
-    for x, e in zip(sites, errors):
-        if e > eps:
-            marked.add(h.finest_cell(x))
+    # A site's leaf is its cell on the finest level whose subdomain holds it.
+    for lev in range(h.num_levels - 1, -1, -1):
+        index = tuple(
+            kv.cell_of(x) for kv, x in zip(h.levels[lev].knot_vectors, pending.T)
+        )
+        inside = h.domains[lev][index]
+        for cell in zip(*(i[inside].tolist() for i in index)):
+            marked.add(CellId(lev, cell))
+        pending = pending[~inside]
     return sorted(marked)
 
 
@@ -418,21 +385,5 @@ def collocation_hierarchical(h: HierarchicalSpace, sites, sparse: bool = False):
     With ``sparse=True`` a CSR matrix with identical entries is returned,
     which the penalized solver consumes directly.
     """
-    sites = _as_sites(sites, h.ndim)
-    m = sites.shape[0]
-    if not sparse:
-        B = np.zeros((m, h.dim))
-        for i, x in enumerate(sites):
-            idx, vals = h.eval_basis(x)
-            B[i, idx] = vals
-        return B
-    data, cols, offsets = [], [], [0]
-    for x in sites:
-        idx, vals = h.eval_basis(x)
-        cols.append(idx)
-        data.append(vals)
-        offsets.append(offsets[-1] + idx.size)
-    return scipy.sparse.csr_matrix(
-        (np.concatenate(data), np.concatenate(cols), np.asarray(offsets)),
-        shape=(m, h.dim),
-    )
+    B = h.basis_matrix(sites)
+    return B if sparse else B.toarray()

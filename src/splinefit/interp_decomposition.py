@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RankDeficiencyError, SubsetCapError
+from .errors import NumericError, RankDeficiencyError, SubsetCapError
 from .spline_core import SplineFunction, WeightedPointCloud, collocation_matrix
 from .wls import solve_wls
 
@@ -197,9 +197,10 @@ def decompose(space, cloud: WeightedPointCloud, cap: int = SUBSET_CAP) -> Decomp
     gram_det = float(np.linalg.det(gram))
     dec = Decomposition(space, cloud, certificates, normalizer, gram_det)
     # Cauchy-Binet identity ties the subset sweep to the assembled system.
-    assert dec.cauchy_binet_residual() < 1e-6, (
-        f"Cauchy-Binet mismatch: sum lam = {normalizer!r}, det gram = {gram_det!r}"
-    )
+    if not dec.cauchy_binet_residual() < 1e-6:
+        raise NumericError(
+            f"Cauchy-Binet mismatch: sum lam = {normalizer!r}, det gram = {gram_det!r}"
+        )
     return dec
 
 

@@ -15,6 +15,7 @@ import itertools
 from typing import Iterable, Sequence
 
 import numpy as np
+import scipy.sparse
 
 __all__ = [
     "KnotVector",
@@ -124,60 +125,85 @@ class KnotVector:
         slack = _DOMAIN_RTOL * (self.end - self.start)
         return self.start - slack <= x <= self.end + slack
 
-    def _clip(self, x: float) -> float:
-        if not self.contains(x):
-            raise ValueError(f"point {x!r} outside domain [{self.start}, {self.end}]")
-        return min(max(x, self.start), self.end)
+    def _clip(self, x) -> np.ndarray:
+        """Sites as floats, clipped onto the domain; raises for any site outside it."""
+        x = np.asarray(x, dtype=float)
+        slack = _DOMAIN_RTOL * (self.end - self.start)
+        outside = ~((x >= self.start - slack) & (x <= self.end + slack))
+        if outside.any():
+            bad = float(x[outside].flat[0])
+            raise ValueError(f"point {bad!r} outside domain [{self.start}, {self.end}]")
+        return np.clip(x, self.start, self.end)
 
-    def find_span(self, x: float) -> int:
-        """Index ``s`` with ``t[s] <= x < t[s+1]``, right end mapped to the last cell."""
-        x = self._clip(x)
-        s = int(np.searchsorted(self.knots, x, side="right")) - 1
-        return min(max(s, self.degree), self.dim - 1)
+    def basis_rows(self, x, r: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """Derivatives of orders ``0..r`` of the locally nonzero functions at every site.
 
-    def basis_at(self, x: float) -> tuple[int, np.ndarray]:
-        """Values of the ``order`` basis functions that may be nonzero at ``x``.
-
-        Returns ``(first, values)`` where ``values[i]`` is the value of basis
-        function ``first + i``.
+        ``x`` is a one-dimensional array of ``m`` sites. Returns ``(first,
+        ders)``: ``first`` of shape ``(m,)`` and ``ders`` of shape
+        ``(m, r + 1, order)``, where ``ders[i, q, j]`` is the ``q``-th
+        derivative of function ``first[i] + j`` at ``x[i]``. This is the
+        Cox-de Boor recurrence with its derivative table (Piegl & Tiller,
+        *The NURBS Book*, A2.2 and A2.3), looping over the degree only and
+        carrying all sites along in each array operation.
         """
-        span = self.find_span(x)
+        if not 0 <= r <= self.degree:
+            raise ValueError(f"derivative order {r} outside 0..{self.degree}")
         x = self._clip(x)
-        return span - self.degree, _basis_funs(self.knots, self.degree, span, x)
+        if x.ndim != 1:
+            raise ValueError("sites must be a one-dimensional array")
+        d, t = self.degree, self.knots
+        span = np.clip(np.searchsorted(t, x, side="right") - 1, d, self.dim - 1)
 
-    def ders_at(self, x: float, r: int) -> tuple[int, np.ndarray]:
-        """Derivatives of orders ``0..r`` of the locally nonzero basis functions.
+        # ndu[j, q] (q < j) holds knot differences, ndu[q, j] (q <= j) the
+        # degree-j values, each an array over the sites.
+        ndu = np.empty((d + 1, d + 1, x.size))
+        left = np.empty((d + 1, x.size))
+        right = np.empty((d + 1, x.size))
+        ndu[0, 0] = 1.0
+        for j in range(1, d + 1):
+            left[j] = x - t[span + 1 - j]
+            right[j] = t[span + j] - x
+            saved = 0.0
+            for q in range(j):
+                ndu[j, q] = right[q + 1] + left[j - q]
+                tmp = ndu[q, j - 1] / ndu[j, q]
+                ndu[q, j] = saved + right[q + 1] * tmp
+                saved = left[j - q] * tmp
+            ndu[j, j] = saved
 
-        Returns ``(first, ders)`` with ``ders`` of shape ``(r + 1, order)``.
-        """
-        if r < 0:
-            raise ValueError("derivative order must be non-negative")
-        if r > self.degree:
-            raise ValueError(
-                f"derivative order {r} exceeds degree {self.degree}"
-            )
-        span = self.find_span(x)
-        x = self._clip(x)
-        return span - self.degree, _ders_basis_funs(self.knots, self.degree, span, x, r)
+        ders = np.zeros((r + 1, d + 1, x.size))
+        ders[0] = ndu[:, d]
+        a = np.empty((2, d + 1, x.size))
+        for i in range(d + 1):
+            s1, s2 = 0, 1
+            a[0, 0] = 1.0
+            for q in range(1, r + 1):
+                dd = 0.0
+                rk, pk = i - q, d - q
+                if i >= q:
+                    a[s2, 0] = a[s1, 0] / ndu[pk + 1, rk]
+                    dd = a[s2, 0] * ndu[rk, pk]
+                j1 = 1 if rk >= -1 else -rk
+                j2 = q - 1 if i - 1 <= pk else d - i
+                for j in range(j1, j2 + 1):
+                    a[s2, j] = (a[s1, j] - a[s1, j - 1]) / ndu[pk + 1, rk + j]
+                    dd = dd + a[s2, j] * ndu[rk + j, pk]
+                if i <= pk:
+                    a[s2, q] = -a[s1, q - 1] / ndu[pk + 1, i]
+                    dd = dd + a[s2, q] * ndu[i, pk]
+                ders[q, i] = dd
+                s1, s2 = s2, s1
 
-    def cell_of(self, x: float) -> int:
-        """Index of the breakpoint interval containing ``x`` (right end closed)."""
-        x = self._clip(x)
-        c = int(np.searchsorted(self.breakpoints, x, side="right")) - 1
-        return min(max(c, 0), self.num_cells - 1)
+        factor = float(d)
+        for q in range(1, r + 1):
+            ders[q] *= factor
+            factor *= d - q
+        return span - d, ders.transpose(2, 0, 1)
 
-    def function_cell_range(self, j: int) -> tuple[int, int]:
-        """Half-open range ``[lo, hi)`` of cells covered by the support of function ``j``."""
-        if not 0 <= j < self.dim:
-            raise ValueError(f"function index {j} out of range")
-        t = self.knots
-        lo = int(np.searchsorted(self.breakpoints, max(t[j], self.start), side="left"))
-        hi = int(
-            np.searchsorted(
-                self.breakpoints, min(t[j + self.order], self.end), side="left"
-            )
-        )
-        return lo, hi
+    def cell_of(self, x) -> np.ndarray:
+        """Indices of the breakpoint intervals containing the sites (right end closed)."""
+        c = np.searchsorted(self.breakpoints, self._clip(x), side="right") - 1
+        return np.clip(c, 0, self.num_cells - 1)
 
     def greville(self) -> np.ndarray:
         """Greville abscissae, the per-function averages of ``degree`` knots."""
@@ -188,77 +214,6 @@ class KnotVector:
         for j in range(self.dim):
             out[j] = t[j + 1 : j + 1 + d].mean()
         return np.clip(out, self.start, self.end)
-
-
-def _basis_funs(t: np.ndarray, d: int, span: int, x: float) -> np.ndarray:
-    """Cox-de Boor recurrence for the d+1 basis values on the given span."""
-    values = np.empty(d + 1)
-    left = np.empty(d + 1)
-    right = np.empty(d + 1)
-    values[0] = 1.0
-    for j in range(1, d + 1):
-        left[j] = x - t[span + 1 - j]
-        right[j] = t[span + j] - x
-        saved = 0.0
-        for r in range(j):
-            tmp = values[r] / (right[r + 1] + left[j - r])
-            values[r] = saved + right[r + 1] * tmp
-            saved = left[j - r] * tmp
-        values[j] = saved
-    return values
-
-
-def _ders_basis_funs(t: np.ndarray, d: int, span: int, x: float, r: int) -> np.ndarray:
-    """Basis values and derivatives up to order ``r`` on the given span.
-
-    Returns an ``(r + 1, d + 1)`` array whose row ``q`` holds the q-th
-    derivatives of basis functions ``span - d .. span``.
-    """
-    r = min(r, d)
-    ndu = np.empty((d + 1, d + 1))
-    a = np.empty((2, d + 1))
-    left = np.empty(d + 1)
-    right = np.empty(d + 1)
-    ndu[0, 0] = 1.0
-    for j in range(1, d + 1):
-        left[j] = x - t[span + 1 - j]
-        right[j] = t[span + j] - x
-        saved = 0.0
-        for q in range(j):
-            ndu[j, q] = right[q + 1] + left[j - q]
-            tmp = ndu[q, j - 1] / ndu[j, q]
-            ndu[q, j] = saved + right[q + 1] * tmp
-            saved = left[j - q] * tmp
-        ndu[j, j] = saved
-
-    ders = np.zeros((r + 1, d + 1))
-    ders[0, :] = ndu[:, d]
-    for i in range(d + 1):
-        s1, s2 = 0, 1
-        a[0, 0] = 1.0
-        for q in range(1, r + 1):
-            dd = 0.0
-            rk = i - q
-            pk = d - q
-            if i >= q:
-                a[s2, 0] = a[s1, 0] / ndu[pk + 1, rk]
-                dd = a[s2, 0] * ndu[rk, pk]
-            j1 = 1 if rk >= -1 else -rk
-            j2 = q - 1 if i - 1 <= pk else d - i
-            for j in range(j1, j2 + 1):
-                a[s2, j] = (a[s1, j] - a[s1, j - 1]) / ndu[pk + 1, rk + j]
-                dd += a[s2, j] * ndu[rk + j, pk]
-            if i <= pk:
-                a[s2, q] = -a[s1, q - 1] / ndu[pk + 1, i]
-                dd += a[s2, q] * ndu[i, pk]
-            ders[q, i] = dd
-            s1, s2 = s2, s1
-
-    factor = float(d)
-    for q in range(1, r + 1):
-        ders[q, :] *= factor
-        factor *= d - q
-    return ders
 
 
 def make_open_knot_vector(
@@ -343,24 +298,36 @@ class SplineSpace:
         Returns ``(indices, values)``; at most ``prod(order)`` entries, values
         non-negative and, for clamped spaces, summing to one.
         """
-        p = self._point(x)
-        firsts, value_rows = [], []
-        for kv, v in zip(self.knot_vectors, p):
-            first, vals = kv.basis_at(v)
-            firsts.append(first)
-            value_rows.append(vals)
-        return self._combine(firsts, value_rows)
+        return self.eval_basis_derivatives(x, (0,) * self.ndim)
 
     def eval_basis_derivatives(self, x, alpha) -> tuple[np.ndarray, np.ndarray]:
         """Partial derivative ``alpha`` (a per-direction multi-index) of the basis at ``x``."""
-        p = self._point(x)
-        alpha = self._multi_index(alpha)
-        firsts, value_rows = [], []
-        for kv, v, a in zip(self.knot_vectors, p, alpha):
-            first, ders = kv.ders_at(v, a)
-            firsts.append(first)
-            value_rows.append(ders[a])
-        return self._combine(firsts, value_rows)
+        idx, vals = self._tensor_rows(self._point(x)[None], self._multi_index(alpha))
+        return idx[0], vals[0]
+
+    def basis_matrix(self, sites, alpha=None) -> scipy.sparse.csr_matrix:
+        """Sparse ``(m, dim)`` matrix of the basis, or its partial derivative ``alpha``, at the sites."""
+        sites = _as_sites(sites, self.ndim)
+        alpha = (0,) * self.ndim if alpha is None else self._multi_index(alpha)
+        idx, vals = self._tensor_rows(sites, alpha)
+        m, width = idx.shape
+        return scipy.sparse.csr_matrix(
+            (vals.ravel(), idx.ravel(), np.arange(0, m * width + 1, width)),
+            shape=(m, self.dim),
+        )
+
+    def _tensor_rows(self, sites, alpha) -> tuple[np.ndarray, np.ndarray]:
+        """Per-site flat indices and values, ``(m, prod(order))`` each, as row-wise outer products."""
+        m = sites.shape[0]
+        idx = np.zeros((m, 1), dtype=np.intp)
+        vals = np.ones((m, 1))
+        for kv, x, a in zip(self.knot_vectors, sites.T, alpha):
+            first, ders = kv.basis_rows(x, a)
+            cols = first[:, None] + np.arange(kv.order)
+            width = idx.shape[1] * kv.order
+            idx = (idx[:, :, None] * kv.dim + cols[:, None, :]).reshape(m, width)
+            vals = (vals[:, :, None] * ders[:, None, a, :]).reshape(m, width)
+        return idx, vals
 
     def _multi_index(self, alpha) -> tuple[int, ...]:
         if np.isscalar(alpha):
@@ -379,40 +346,6 @@ class SplineSpace:
                 raise ValueError(f"derivative order {a} exceeds degree {d}")
         return alpha
 
-    def _combine(self, firsts, value_rows) -> tuple[np.ndarray, np.ndarray]:
-        values = value_rows[0]
-        for row in value_rows[1:]:
-            values = np.multiply.outer(values, row)
-        sizes = [row.size for row in value_rows]
-        return _flat_tensor_indices(self.dims, firsts, sizes), values.ravel()
-
-    def eval_basis_ders_pack(self, x, order: int) -> tuple[np.ndarray, dict]:
-        """All partial derivatives of total order ``order`` in one pass.
-
-        Returns ``(indices, {alpha: values})`` over the multi-indices whose
-        per-direction orders do not exceed the degrees. One univariate
-        derivative table per direction is shared by all multi-indices.
-        """
-        p = self._point(x)
-        firsts, tables = [], []
-        for kv, v in zip(self.knot_vectors, p):
-            first, ders = kv.ders_at(v, min(order, kv.degree))
-            firsts.append(first)
-            tables.append(ders)
-        sizes = [tab.shape[1] for tab in tables]
-        flat = _flat_tensor_indices(self.dims, firsts, sizes)
-        packs = {}
-        for alpha in itertools.product(range(order + 1), repeat=self.ndim):
-            if sum(alpha) != order:
-                continue
-            if any(a > d for a, d in zip(alpha, self.degrees)):
-                continue
-            values = tables[0][alpha[0]]
-            for tab, a in zip(tables[1:], alpha[1:]):
-                values = np.multiply.outer(values, tab[a])
-            packs[alpha] = values.ravel()
-        return flat, packs
-
     def local_ders_on_grid(self, axes_pts, order: int, max_level=None) -> tuple[np.ndarray, dict]:
         """Derivative rows on a tensor grid of points inside one cell.
 
@@ -425,17 +358,10 @@ class SplineSpace:
         """
         firsts, tables = [], []
         for kv, pts in zip(self.knot_vectors, axes_pts):
-            r = min(order, kv.degree)
-            first = None
-            rows = np.empty((len(pts), r + 1, kv.order))
-            for i, v in enumerate(pts):
-                f, ders = kv.ders_at(float(v), r)
-                if first is None:
-                    first = f
-                elif f != first:
-                    raise ValueError("grid coordinates straddle a knot")
-                rows[i] = ders
-            firsts.append(first)
+            first, rows = kv.basis_rows(pts, min(order, kv.degree))
+            if np.any(first != first[0]):
+                raise ValueError("grid coordinates straddle a knot")
+            firsts.append(first[0])
             tables.append(rows)
         sizes = [tab.shape[2] for tab in tables]
         flat = _flat_tensor_indices(self.dims, firsts, sizes)
@@ -495,15 +421,10 @@ def eval_basis_derivatives(space: SplineSpace, x, alpha) -> tuple[np.ndarray, np
 def collocation_matrix(space, sites) -> np.ndarray:
     """Dense collocation matrix ``B[i, j] = basis_j(site_i)``.
 
-    Works for tensor-product spaces and any space exposing ``eval_basis``
+    Works for tensor-product spaces and any space exposing ``basis_matrix``
     with the same contract.
     """
-    sites = _as_sites(sites, space.ndim)
-    B = np.zeros((sites.shape[0], space.dim))
-    for i, x in enumerate(sites):
-        idx, vals = space.eval_basis(x)
-        B[i, idx] = vals
-    return B
+    return space.basis_matrix(sites).toarray()
 
 
 def _as_sites(sites, ndim: int) -> np.ndarray:
@@ -566,6 +487,10 @@ class WeightedPointCloud:
             values = values[:, None]
         if values.shape[0] != sites.shape[0]:
             raise ValueError("values and sites must have the same length")
+        if not np.all(np.isfinite(sites)):
+            raise ValueError("sites must be finite")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("values must be finite")
 
         m = sites.shape[0]
         if weights is None:
@@ -656,13 +581,9 @@ class SplineFunction:
         idx, vals = self.space.eval_basis_derivatives(x, alpha)
         return vals @ self.coefficients[idx]
 
-    def evaluate_many(self, sites) -> np.ndarray:
-        """Values at several points, one row per site."""
-        sites = _as_sites(sites, self.space.ndim)
-        out = np.empty((sites.shape[0], self.dim_values))
-        for i, x in enumerate(sites):
-            out[i] = self.evaluate(x)
-        return out
+    def evaluate_many(self, sites, alpha=None) -> np.ndarray:
+        """Values, or partial derivatives ``alpha``, at several points, one row per site."""
+        return self.space.basis_matrix(sites, alpha) @ self.coefficients
 
 
 def parameterize(values, method: str = "uniform") -> np.ndarray:

@@ -11,10 +11,13 @@ from splinefit import (
     HierarchicalSpace,
     PointCloudFormatError,
     ModelFormatError,
+    NumericError,
     SplineFunction,
     SplineSpace,
     WeightedPointCloud,
+    averaging_knots,
     curve_point_cloud,
+    decompose,
     make_open_knot_vector,
     top_gradient_markers,
     uniform_interior,
@@ -101,6 +104,18 @@ class TestPointCloudFormat:
         with pytest.raises(PointCloudFormatError, match="no data rows"):
             read_point_cloud(path)
 
+    def test_non_finite_value_reports_line_and_writes_no_model(self, tmp_path, capsys):
+        rows = [f"{x!r},{float(np.sin(3.0 * x))!r}" for x in np.linspace(0.0, 1.0, 30).tolist()]
+        rows[7] = "0.25,nan"  # data row 8 is line 9, after the header
+        path = tmp_path / "nan.csv"
+        path.write_text("x1,f1\n" + "\n".join(rows) + "\n")
+        model = tmp_path / "m.json"
+        rc = main(["fit", "--cloud", str(path), "--degree", "3", "--knots", "uniform",
+                   "--interior-knots", "4", "--out", str(model)])
+        assert rc == 3
+        assert "nan.csv:9" in capsys.readouterr().err
+        assert not model.exists()
+
 
 class TestModelFormat:
     def test_tensor_roundtrip_evaluates_identically(self, tmp_path):
@@ -154,6 +169,15 @@ class TestModelFormat:
         with pytest.raises(ModelFormatError, match="JSON"):
             read_model(path)
 
+    def test_non_finite_coefficients_are_not_written(self, tmp_path):
+        space = SplineSpace(make_open_knot_vector((0.0, 1.0), 2, [0.5]))
+        coefficients = np.ones(space.dim)
+        coefficients[1] = np.nan
+        path = tmp_path / "m.json"
+        with pytest.raises(NumericError, match="non-finite"):
+            write_model(path, SplineFunction(space, coefficients))
+        assert not path.exists()
+
 
 class TestVerifyCommand:
     def test_polynomial_case(self, seven_csv, capsys):
@@ -201,6 +225,27 @@ class TestVerifyCommand:
              "--interior-knots", "17"]
         )
         assert rc == 2
+
+    def test_averaging_knots_are_used(self, tmp_path, capsys, monkeypatch):
+        sites = np.sort(np.concatenate([np.linspace(0.0, 0.2, 9), [0.5, 0.8, 1.0]]))
+        path = tmp_path / "clustered.csv"
+        write_point_cloud(path, WeightedPointCloud(sites, np.cos(3.0 * sites)),
+                          weights=False, markers=False)
+        spaces = []
+
+        def capture(space, cloud):
+            spaces.append(space)
+            return decompose(space, cloud)
+
+        monkeypatch.setattr("splinefit.cli_io.decompose", capture)
+        for knots in (["--knots", "averaging"], ["--knots", "uniform"], []):
+            rc = main(["verify", "--cloud", str(path), "--basis", "spline", "--degree", "2",
+                       "--interior-knots", "3", *knots])
+            assert rc == 0, capsys.readouterr()
+        averaging, uniform, default = (s.knot_vectors[0].knots for s in spaces)
+        np.testing.assert_array_equal(averaging, averaging_knots(sites, 6, 2).knots)
+        assert not np.array_equal(averaging, uniform)
+        np.testing.assert_array_equal(default, uniform)
 
 
 class TestFitCommand:

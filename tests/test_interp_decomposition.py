@@ -2,10 +2,15 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import splinefit
 from splinefit import (
     RankDeficiencyError,
     SplineSpace,
@@ -155,6 +160,35 @@ class TestDecompose:
             ref = (basis @ c[idx])[0]
             got = dec.reconstruct([x])[0]
             assert abs(got - ref) <= 1e-9 * (1 + abs(ref))
+
+    def test_cauchy_binet_guard_survives_optimize_flag(self):
+        # A sweep whose subset weights disagree with det(B^T W B) must raise
+        # NumericError even when `python -O` strips assertions.
+        script = (
+            "import dataclasses, sys\n"
+            "import numpy as np\n"
+            "import splinefit.interp_decomposition as idc\n"
+            "from splinefit import NumericError, SplineSpace, WeightedPointCloud\n"
+            "from splinefit import make_open_knot_vector\n"
+            "exact = idc._subset_certificate\n"
+            "idc._subset_certificate = lambda *a: dataclasses.replace(\n"
+            "    exact(*a), lam=2.0 * exact(*a).lam)\n"
+            "space = SplineSpace(make_open_knot_vector((-5.0, 5.0), 2, []))\n"
+            "cloud = WeightedPointCloud(np.linspace(-4.0, 4.0, 6), np.arange(6.0))\n"
+            "try:\n"
+            "    idc.decompose(space, cloud)\n"
+            "except NumericError as exc:\n"
+            "    print('raised:', exc)\n"
+            "    sys.exit(0)\n"
+            "sys.exit(1)\n"
+        )
+        src = Path(splinefit.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "Cauchy-Binet" in proc.stdout
 
     def test_to_function_reassembles_the_fit(self, quad_spline_space, seven_cloud):
         dec = decompose(quad_spline_space, seven_cloud)

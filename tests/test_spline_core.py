@@ -283,6 +283,13 @@ class TestWeightedPointCloud:
         with pytest.raises(ValueError, match="markers"):
             WeightedPointCloud([0.0, 1.0], [1.0, 2.0], markers=[0, 7])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_sites_and_values(self, bad):
+        with pytest.raises(ValueError, match="sites must be finite"):
+            WeightedPointCloud([0.0, bad], [1.0, 2.0])
+        with pytest.raises(ValueError, match="values must be finite"):
+            WeightedPointCloud([0.0, 1.0], [bad, 2.0])
+
     def test_marker_index_sets_are_disjoint(self):
         cloud = WeightedPointCloud(
             [0.0, 0.5, 1.0], [1.0, 2.0, 3.0], markers=[1, 0, 2]
