@@ -297,12 +297,8 @@ def _write_mesh_dump(path, space: HierarchicalSpace) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
         out = csv.writer(handle)
         out.writerow(header)
-        for cid in space.leaf_cells():
-            kvs = space.levels[cid.level].knot_vectors
-            row = [cid.level]
-            for kv, i in zip(kvs, cid.index):
-                row += [_fmt(kv.breakpoints[i]), _fmt(kv.breakpoints[i + 1])]
-            out.writerow(row)
+        for cid, bounds in zip(space.leaf_cells(), space.leaf_cell_bounds()):
+            out.writerow([cid.level] + [_fmt(v) for pair in bounds for v in pair])
 
 
 # ----------------------------------------------------------------------
@@ -358,7 +354,10 @@ def _build_curve_space(args, sites) -> SplineSpace:
     elif args.knots == "averaging":
         if args.interior_knots is None:
             raise _UsageError("--knots averaging needs --interior-knots")
-        kv = averaging_knots(sites.ravel(), args.interior_knots + degree + 1, degree)
+        # The knots depend only on the set of sites, not on the row order.
+        kv = averaging_knots(
+            np.sort(sites.ravel()), args.interior_knots + degree + 1, degree
+        )
     else:
         values = [float(v) for v in args.knots.split(",")]
         kv = KnotVector(np.asarray(values), degree)

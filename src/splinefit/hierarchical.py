@@ -231,15 +231,6 @@ class HierarchicalSpace:
     # Evaluation
     # ------------------------------------------------------------------
 
-    def _filter_active(self, level: int, tensor_idx: np.ndarray):
-        act = self.active[level]
-        if act.size == 0:
-            return np.empty(0, dtype=np.intp), np.empty(0, dtype=bool)
-        pos = np.searchsorted(act, tensor_idx)
-        pos_c = np.minimum(pos, act.size - 1)
-        keep = act[pos_c] == tensor_idx
-        return self.offsets[level] + pos_c[keep], keep
-
     def basis_matrix(self, sites, alpha=None) -> scipy.sparse.csr_matrix:
         """Sparse matrix of the active functions, or their partial derivative ``alpha``, at the sites.
 
@@ -262,34 +253,6 @@ class HierarchicalSpace:
         row = self.basis_matrix(self.levels[0]._point(x)[None], alpha)
         return row.indices, row.data
 
-    def local_ders_on_grid(self, axes_pts, order: int, max_level=None) -> tuple[np.ndarray, dict]:
-        """Derivative rows on a point grid inside one leaf cell.
-
-        Same contract as :meth:`SplineSpace.local_ders_on_grid`; only
-        functions of levels up to ``max_level`` (the leaf's level) can be
-        supported on the cell, finer ones are skipped outright.
-        """
-        top = len(self.levels) - 1 if max_level is None else min(max_level, len(self.levels) - 1)
-        idx_parts, packs_parts = [], []
-        for lev in range(top + 1):
-            if self.active[lev].size == 0:
-                continue
-            tidx, packs = self.levels[lev].local_ders_on_grid(axes_pts, order)
-            gidx, keep = self._filter_active(lev, tidx)
-            if gidx.size:
-                idx_parts.append(gidx)
-                packs_parts.append({a: rows[:, keep] for a, rows in packs.items()})
-        if not idx_parts:
-            npts = int(np.prod([len(p) for p in axes_pts]))
-            return np.empty(0, dtype=np.intp), {
-                alpha: np.empty((npts, 0)) for alpha in ()
-            }
-        alphas = packs_parts[0].keys()
-        merged = {
-            a: np.concatenate([p[a] for p in packs_parts], axis=1) for a in alphas
-        }
-        return np.concatenate(idx_parts), merged
-
     # ------------------------------------------------------------------
     # Cells
     # ------------------------------------------------------------------
@@ -311,18 +274,26 @@ class HierarchicalSpace:
                 out.append(CellId(lev, tuple(np.unravel_index(flat, mask.shape))))
         return out
 
+    def leaf_cell_boxes(self):
+        """Per level, ``(level, lo, hi)``: the lower and upper corners of its leaf cells.
+
+        ``lo`` and ``hi`` have shape ``(cells, ndim)``, rows in the order of
+        :meth:`leaf_cells`; a level without leaf cells gives zero rows.
+        """
+        for lev, mask in self._leaf_masks():
+            index = np.nonzero(mask)
+            kvs = self.levels[lev].knot_vectors
+            lo = np.stack([kv.breakpoints[i] for kv, i in zip(kvs, index)], axis=-1)
+            hi = np.stack([kv.breakpoints[i + 1] for kv, i in zip(kvs, index)], axis=-1)
+            yield lev, lo, hi
+
     def leaf_cell_bounds(self) -> list[tuple[tuple[float, float], ...]]:
-        """Per-direction interval bounds of every leaf cell (quadrature support)."""
-        out = []
-        for cid in self.leaf_cells():
-            kvs = self.levels[cid.level].knot_vectors
-            out.append(
-                tuple(
-                    (kv.breakpoints[i], kv.breakpoints[i + 1])
-                    for kv, i in zip(kvs, cid.index)
-                )
-            )
-        return out
+        """Per-direction interval bounds of every leaf cell, in the order of :meth:`leaf_cells`."""
+        return [
+            tuple(zip(a, b))
+            for _, lo, hi in self.leaf_cell_boxes()
+            for a, b in zip(lo.tolist(), hi.tolist())
+        ]
 
 
 def _coarsen_any(mask: np.ndarray) -> np.ndarray:

@@ -11,7 +11,6 @@ values at the right end of the domain are the limits from the left.
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -318,15 +317,35 @@ class SplineSpace:
 
     def _tensor_rows(self, sites, alpha) -> tuple[np.ndarray, np.ndarray]:
         """Per-site flat indices and values, ``(m, prod(order))`` each, as row-wise outer products."""
-        m = sites.shape[0]
-        idx = np.zeros((m, 1), dtype=np.intp)
-        vals = np.ones((m, 1))
+        firsts, tables = [], []
         for kv, x, a in zip(self.knot_vectors, sites.T, alpha):
             first, ders = kv.basis_rows(x, a)
+            firsts.append(first)
+            tables.append(ders[:, None, a, :])
+        idx, vals = self.outer_rows(firsts, tables)
+        return idx, vals[:, 0]
+
+    def outer_rows(self, firsts, tables) -> tuple[np.ndarray, np.ndarray]:
+        """Tensor-product rows of ``n`` items from per-direction kernel rows.
+
+        ``firsts[d]`` of shape ``(n,)`` and ``tables[d]`` of shape ``(n, p_d,
+        order_d)`` hold, per item, the first index and the values of direction
+        ``d``'s nonzero functions at ``p_d`` coordinates. Returns flat function
+        indices ``(n, prod(order))`` and values ``(n, prod(p), prod(order))``
+        on the grid of those coordinates; points and functions both run with
+        the last direction fastest.
+        """
+        n = firsts[0].shape[0]
+        idx = np.zeros((n, 1), dtype=np.intp)
+        vals = np.ones((n, 1, 1))
+        for kv, first, tab in zip(self.knot_vectors, firsts, tables):
             cols = first[:, None] + np.arange(kv.order)
-            width = idx.shape[1] * kv.order
-            idx = (idx[:, :, None] * kv.dim + cols[:, None, :]).reshape(m, width)
-            vals = (vals[:, :, None] * ders[:, None, a, :]).reshape(m, width)
+            idx = (idx[:, :, None] * kv.dim + cols[:, None, :]).reshape(
+                n, idx.shape[1] * kv.order
+            )
+            vals = (vals[:, :, None, :, None] * tab[:, None, :, None, :]).reshape(
+                n, vals.shape[1] * tab.shape[1], vals.shape[2] * kv.order
+            )
         return idx, vals
 
     def _multi_index(self, alpha) -> tuple[int, ...]:
@@ -346,66 +365,11 @@ class SplineSpace:
                 raise ValueError(f"derivative order {a} exceeds degree {d}")
         return alpha
 
-    def local_ders_on_grid(self, axes_pts, order: int, max_level=None) -> tuple[np.ndarray, dict]:
-        """Derivative rows on a tensor grid of points inside one cell.
-
-        ``axes_pts`` holds per-direction coordinates, all strictly inside a
-        single knot span per direction, so every grid point sees the same
-        local functions. Returns ``(indices, {alpha: rows})`` with ``rows``
-        of shape ``(prod(len(axes)), len(indices))``, points ordered with
-        the last direction fastest. ``max_level`` is accepted for interface
-        parity with hierarchical spaces and ignored.
-        """
-        firsts, tables = [], []
-        for kv, pts in zip(self.knot_vectors, axes_pts):
-            first, rows = kv.basis_rows(pts, min(order, kv.degree))
-            if np.any(first != first[0]):
-                raise ValueError("grid coordinates straddle a knot")
-            firsts.append(first[0])
-            tables.append(rows)
-        sizes = [tab.shape[2] for tab in tables]
-        flat = _flat_tensor_indices(self.dims, firsts, sizes)
-        packs = {}
-        for alpha in itertools.product(range(order + 1), repeat=self.ndim):
-            if sum(alpha) != order:
-                continue
-            if any(a > d for a, d in zip(alpha, self.degrees)):
-                continue
-            rows = tables[0][:, alpha[0], :]
-            for tab, a in zip(tables[1:], alpha[1:]):
-                nxt = tab[:, a, :]
-                rows = (
-                    rows[:, None, :, None] * nxt[None, :, None, :]
-                ).reshape(rows.shape[0] * nxt.shape[0], rows.shape[1] * nxt.shape[1])
-            packs[alpha] = rows
-        return flat, packs
-
     def greville_points(self) -> np.ndarray:
         """Tensor grid of Greville abscissae, one row per basis function."""
         axes = [kv.greville() for kv in self.knot_vectors]
         grids = np.meshgrid(*axes, indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=-1)
-
-    def cells(self) -> list[tuple[tuple[float, float], ...]]:
-        """All breakpoint cells as per-direction interval tuples."""
-        out = []
-        ranges = [range(kv.num_cells) for kv in self.knot_vectors]
-        for idx in itertools.product(*ranges):
-            out.append(
-                tuple(
-                    (kv.breakpoints[i], kv.breakpoints[i + 1])
-                    for kv, i in zip(self.knot_vectors, idx)
-                )
-            )
-        return out
-
-
-def _flat_tensor_indices(dims, firsts, sizes) -> np.ndarray:
-    """Flat C-order indices of a tensor block ``[first, first+size)`` per direction."""
-    flat = np.zeros(1, dtype=np.intp)
-    for dim, first, size in zip(dims, firsts, sizes):
-        flat = (flat[:, None] * dim + np.arange(first, first + size)).ravel()
-    return flat
 
 
 def eval_basis(space: SplineSpace, x) -> tuple[np.ndarray, np.ndarray]:

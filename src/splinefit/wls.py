@@ -16,7 +16,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .errors import RankDeficiencyError, SingularSystemError
+from .errors import NumericError, RankDeficiencyError, SingularSystemError
+from .hierarchical import HierarchicalSpace
 from .spline_core import SplineFunction, WeightedPointCloud, _as_sites
 
 __all__ = [
@@ -45,12 +46,22 @@ def _weighted_system(B, weights, f):
     return w, f2, squeeze
 
 
+def _finite(c, squeeze):
+    """Coefficients as returned to the caller; raises when any is not finite."""
+    if not np.all(np.isfinite(c)):
+        raise NumericError(
+            "solution has non-finite coefficients (the weighted system overflows)"
+        )
+    return c[:, 0] if squeeze else c
+
+
 def solve_wls(B, weights, f) -> np.ndarray:
     """Coefficients minimizing ``sum_i w_i ||(B c)_i - f_i||^2``.
 
     All value components share one factorization. Raises
     :class:`RankDeficiencyError` when the scaled matrix has numerical rank
-    below its column count.
+    below its column count and :class:`NumericError` when a coefficient is
+    not finite.
     """
     B = np.asarray(B, dtype=float)
     m, n = B.shape
@@ -63,7 +74,7 @@ def solve_wls(B, weights, f) -> np.ndarray:
     )
     if rank < n:
         raise RankDeficiencyError(f"collocation matrix has rank {rank} < {n}")
-    return c[:, 0] if squeeze else c
+    return _finite(c, squeeze)
 
 
 def _second_order_multi_indices(ndim):
@@ -76,20 +87,11 @@ def _second_order_multi_indices(ndim):
     return out
 
 
-def _cell_rects(space):
-    """Cells of the space tessellation as (level, bounds) pairs."""
-    leaves = getattr(space, "leaf_cells", None)
-    if leaves is not None:
-        out = []
-        for cid in leaves():
-            kvs = space.levels[cid.level].knot_vectors
-            bounds = tuple(
-                (kv.breakpoints[i], kv.breakpoints[i + 1])
-                for kv, i in zip(kvs, cid.index)
-            )
-            out.append((cid.level, bounds))
-        return out
-    return [(None, rect) for rect in space.cells()]
+# Leaf cells of one level go through the assembly in batches whose element
+# matrices take about this many bytes. Batching a whole level at once costs
+# several times the size of P in temporaries and shows in peak memory; much
+# smaller batches spend the time in per-batch Python overhead.
+_BATCH_BYTES = 1 << 20
 
 
 def assemble_thin_plate(space) -> np.ndarray:
@@ -98,36 +100,80 @@ def assemble_thin_plate(space) -> np.ndarray:
     ``J`` integrates the squared second derivatives over the domain, mixed
     terms carrying their multinomial weight (``ss + 2 st + tt`` in two
     variables, ``integral of (v'')^2`` in one). Gauss-Legendre quadrature
-    with ``max degree + 1`` points per direction on every cell of the
+    with ``max degree + 1`` points per direction on every leaf cell of the
     tessellation is exact for the piecewise-polynomial integrand. Requires
     degree at least two in every direction.
+
+    A tensor space is the one-level hierarchical space. The leaf cells of a
+    level share their Gauss nodes up to an affine map, so they are assembled
+    together, in batches of about ``_BATCH_BYTES`` of element matrices: one
+    :meth:`KnotVector.basis_rows` call per direction and level evaluates the
+    value and derivative rows of the batch, one batched ``matmul`` forms the
+    element matrices ``sum_alpha c_alpha R^T diag(w) R``, and one
+    ``np.add.at`` scatters them into the dense ``P``. Only levels up to the
+    cell's own can have functions supported on it.
     """
     for d in space.degrees:
         if d < 2:
             raise ValueError("thin-plate energy needs degree >= 2 in every direction")
-    terms = _second_order_multi_indices(space.ndim)
-    q = max(space.degrees) + 1
-    nodes, gauss_w = np.polynomial.legendre.leggauss(q)
+    h = space if isinstance(space, HierarchicalSpace) else HierarchicalSpace.from_base(space)
+    terms = _second_order_multi_indices(h.ndim)
+    nodes, gauss_w = np.polynomial.legendre.leggauss(max(h.degrees) + 1)
+    q = nodes.size
 
-    P = np.zeros((space.dim, space.dim))
-    for level, rect in _cell_rects(space):
-        axes_pts, axes_wts = [], []
-        for a, b in rect:
-            half = 0.5 * (b - a)
-            axes_pts.append(a + half * (nodes + 1.0))
-            axes_wts.append(gauss_w * half)
-        pw = axes_wts[0]
-        for wrow in axes_wts[1:]:
-            pw = np.multiply.outer(pw, wrow)
-        pw = pw.ravel()
+    # Global column of every tensor function per level. Inactive functions
+    # point at an extra last row and column of P, which is dropped.
+    columns = []
+    for lev, act in enumerate(h.active):
+        col = np.full(h.levels[lev].dim, h.dim, dtype=np.intp)
+        col[act] = h.offsets[lev] + np.arange(act.size)
+        columns.append(col)
+    P = np.zeros((h.dim + 1, h.dim + 1))
 
-        idx, rows = space.local_ders_on_grid(axes_pts, 2, max_level=level)
-        if idx.size == 0:
+    for top, lo, hi in h.leaf_cell_boxes():
+        levels = [lev for lev in range(top + 1) if h.active[lev].size]
+        if not levels:
             continue
-        for alpha, coeff in terms:
-            R = rows[alpha]
-            P[np.ix_(idx, idx)] += coeff * (R.T @ (R * pw[:, None]))
-    return 0.5 * (P + P.T)
+        width = len(levels) * math.prod(kv.order for kv in h.levels[0].knot_vectors)
+        batch = max(1, _BATCH_BYTES // (8 * width * width))
+        for start in range(0, lo.shape[0], batch):
+            a, b = lo[start : start + batch], hi[start : start + batch]
+            n = a.shape[0]
+            half = 0.5 * (b - a)
+            pts = a[:, :, None] + half[:, :, None] * (nodes + 1.0)
+            pw = np.ones((n, 1))
+            for wts in (half[:, :, None] * gauss_w).transpose(1, 0, 2):
+                pw = (pw[:, :, None] * wts[:, None, :]).reshape(n, -1)
+
+            cols, rows = [], {alpha: [] for alpha, _ in terms}
+            for lev in levels:
+                space_l = h.levels[lev]
+                firsts, tables = [], []
+                for kv, x in zip(space_l.knot_vectors, pts.transpose(1, 0, 2)):
+                    first, ders = kv.basis_rows(x.ravel(), 2)
+                    firsts.append(first[::q])
+                    tables.append(ders.reshape(n, q, 3, kv.order))
+                for alpha, _ in terms:
+                    idx, R = space_l.outer_rows(
+                        firsts, [t[:, :, k, :] for t, k in zip(tables, alpha)]
+                    )
+                    rows[alpha].append(R)
+                cols.append(columns[lev][idx])
+
+            # All terms stacked along the point axis, each point weight
+            # carrying its term's coefficient, make one batched product.
+            R = np.concatenate(
+                [np.concatenate(rows[alpha], axis=2) for alpha, _ in terms], axis=1
+            )
+            w = np.concatenate([coeff * pw for _, coeff in terms], axis=1)
+            E = R.transpose(0, 2, 1) @ (R * w[:, :, None])
+            c = np.concatenate(cols, axis=1)
+            np.add.at(P, (c[:, :, None], c[:, None, :]), E)
+
+    P = P[:-1, :-1]
+    out = P + P.T
+    out *= 0.5
+    return out
 
 
 def solve_penalized_wls(B, weights, f, P, lam: float) -> np.ndarray:
@@ -135,7 +181,8 @@ def solve_penalized_wls(B, weights, f, P, lam: float) -> np.ndarray:
 
     ``B`` may be dense or a scipy sparse matrix. ``lam = 0`` reduces to
     :func:`solve_wls`. Raises :class:`SingularSystemError` when the
-    regularized normal matrix cannot be factorized.
+    regularized normal matrix cannot be factorized and :class:`NumericError`
+    when a coefficient is not finite.
     """
     if lam < 0:
         raise ValueError("penalty weight must be non-negative")
@@ -159,7 +206,7 @@ def solve_penalized_wls(B, weights, f, P, lam: float) -> np.ndarray:
         c = scipy.linalg.cho_solve(factor, 0.5 * rhs, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"penalized normal system is singular: {exc}") from exc
-    return c[:, 0] if squeeze else c
+    return _finite(c, squeeze)
 
 
 @dataclass(frozen=True)

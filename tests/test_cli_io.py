@@ -23,6 +23,7 @@ from splinefit import (
     uniform_interior,
 )
 from splinefit.cli_io import (
+    _write_mesh_dump,
     main,
     read_model,
     read_point_cloud,
@@ -341,6 +342,32 @@ class TestFitCommand:
             assert rc == 0
         assert r1.read_bytes() == r2.read_bytes()
 
+    def test_averaging_knots_ignore_row_order(self, tmp_path, capsys):
+        sites = np.linspace(0.0, 1.0, 11) ** 1.5
+        shuffled = np.random.default_rng(5).permutation(11)
+        models = []
+        for name, order in (("sorted", np.arange(11)), ("shuffled", shuffled)):
+            cloud_path = tmp_path / f"{name}.csv"
+            write_point_cloud(
+                cloud_path,
+                WeightedPointCloud(sites[order], np.sin(3.0 * sites[order])),
+                weights=False, markers=False,
+            )
+            model = tmp_path / f"{name}.json"
+            knots = ["--degree", "2", "--knots", "averaging", "--interior-knots", "3"]
+            rc = main(["fit", "--cloud", str(cloud_path), *knots, "--out", str(model)])
+            assert rc == 0, capsys.readouterr().err
+            rc = main(["verify", "--cloud", str(cloud_path), "--basis", "spline", *knots])
+            assert rc == 0, capsys.readouterr().err
+            models.append(read_model(model))
+        ordered, unordered = models
+        np.testing.assert_array_equal(
+            unordered.space.knot_vectors[0].knots, ordered.space.knot_vectors[0].knots
+        )
+        np.testing.assert_allclose(
+            unordered.coefficients, ordered.coefficients, rtol=1e-12, atol=1e-14
+        )
+
 
 class TestFitAdaptiveCommand:
     def test_small_surface_run(self, tmp_path, capsys):
@@ -379,6 +406,23 @@ class TestFitAdaptiveCommand:
              "--mesh", "4x4", "--eps", "1e-3"]
         )
         assert rc == 1
+
+    def test_mesh_dump_rows_are_the_leaf_cells(self, tmp_path):
+        kv = make_open_knot_vector((-1.0, 2.0), 2, uniform_interior((-1.0, 2.0), 4))
+        h = HierarchicalSpace.from_base(SplineSpace([kv, kv])).refine(
+            [CellId(0, (1, 1)), CellId(0, (3, 2))], buffer=True
+        )
+        h = h.refine([CellId(1, (3, 3))], buffer=False)
+        assert h.num_levels == 3
+        path = tmp_path / "mesh.csv"
+        _write_mesh_dump(path, h)
+        lines = ["level,x1_lo,x1_hi,x2_lo,x2_hi"]
+        for cid in h.leaf_cells():
+            row = [str(cid.level)]
+            for kv_l, i in zip(h.levels[cid.level].knot_vectors, cid.index):
+                row += ["%.17g" % kv_l.breakpoints[i], "%.17g" % kv_l.breakpoints[i + 1]]
+            lines.append(",".join(row))
+        assert path.read_bytes() == ("\r\n".join(lines) + "\r\n").encode()
 
 
 class TestSampleCommand:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from splinefit import (
+    NumericError,
     RankDeficiencyError,
     SplineFunction,
     SplineSpace,
@@ -218,6 +219,20 @@ class TestSolvePenalizedWls:
         B, w, f, P = instance
         with pytest.raises(ValueError, match="non-negative"):
             solve_penalized_wls(B, w, f, P, -1.0)
+
+    def test_overflowing_right_hand_side_raises(self):
+        """Finite data whose weighted right-hand side overflows gives no coefficients."""
+        space = SplineSpace(make_open_knot_vector((0.0, 1.0), 2, [0.5]))
+        sites = np.linspace(0.0, 1.0, 12)
+        B = collocation_matrix(space, sites)
+        f = np.full(12, 1e308)
+        w = np.full(12, 4.0)
+        P = assemble_thin_plate(space)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match="non-finite"):
+                solve_wls(B, w, f)
+            with pytest.raises(NumericError, match="non-finite"):
+                solve_penalized_wls(B, w, f, P, 1e-6)
 
 
 class TestMetrics:
