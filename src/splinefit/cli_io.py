@@ -383,18 +383,14 @@ def cmd_verify(args) -> int:
 
     dec = decompose(space, cloud)
     B = collocation_matrix(space, cloud.sites)
-    direct = solve_wls(B, cloud.weights, cloud.values)
+    direct = SplineFunction(space, solve_wls(B, cloud.weights, cloud.values))
     grid = np.linspace(space.domain[0][0], space.domain[0][1], 101)
-    worst = 0.0
-    for x in grid:
-        idx, basis = space.eval_basis([x])
-        ref = basis @ direct[idx]
-        got = dec.reconstruct([x])
-        err = np.max(np.abs(got - ref) / (1.0 + np.abs(ref)))
-        worst = max(worst, float(err))
+    ref = direct.evaluate_many(grid)
+    got = dec.to_function().evaluate_many(grid)
+    worst = float(np.max(np.abs(got - ref) / (1.0 + np.abs(ref))))
     cb = dec.cauchy_binet_residual()
 
-    print(f"subsets: {len(dec.certificates)} total, {dec.num_admissible} admissible")
+    print(f"subsets: {len(dec.subsets)} total, {dec.num_admissible} admissible")
     print(f"max relative discrepancy vs direct solve: {worst:.3e}")
     print(f"cauchy-binet relative residual: {cb:.3e}")
     passed = worst < 1e-9
@@ -402,20 +398,18 @@ def cmd_verify(args) -> int:
     return 0 if passed else 1
 
 
-def _fit_config(args, eps=None) -> FitConfig:
+def _fit_config(args) -> FitConfig:
     mode, param = _parse_alpha(args.alpha)
-    kwargs = dict(
-        tol_i=args.tol_i,
-        tol_ii=args.tol_ii,
-        lam=getattr(args, "lam", 0.0),
-        alpha_mode=mode,
-    )
+    kwargs = dict(tol_i=args.tol_i, tol_ii=args.tol_ii, lam=args.lam, alpha_mode=mode)
+    if args.tol_i is None:
+        # fit-adaptive without --tol-i: a multiple of the refinement threshold
+        kwargs["tol_i"] = args.tol_i_ratio * args.eps
     if mode == "fixed_factor" and param is not None:
         kwargs["rho"] = param
     if mode == "irls" and param is not None:
         kwargs["delta"] = param
-    if eps is not None:
-        kwargs["eps"] = eps
+    if hasattr(args, "eps"):
+        kwargs["eps"] = args.eps
     if hasattr(args, "max_iter"):
         kwargs["max_iter"] = args.max_iter
     if hasattr(args, "levels"):
@@ -463,21 +457,7 @@ def cmd_fit_adaptive(args) -> int:
             )
         )
     base = SplineSpace(kvs)
-    tol_i = args.tol_i if args.tol_i is not None else args.tol_i_ratio * args.eps
-    mode, param = _parse_alpha(args.alpha)
-    kwargs = dict(
-        tol_i=tol_i,
-        tol_ii=args.tol_ii,
-        eps=args.eps,
-        lam=args.lam,
-        max_levels=args.levels,
-        alpha_mode=mode,
-    )
-    if mode == "fixed_factor" and param is not None:
-        kwargs["rho"] = param
-    if mode == "irls" and param is not None:
-        kwargs["delta"] = param
-    config = FitConfig(**kwargs)
+    config = _fit_config(args)
     report = adaptive_rwls_fit(base, cloud, config)
     if args.out:
         write_model(args.out, report.function)

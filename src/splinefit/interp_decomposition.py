@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -74,22 +75,25 @@ def enumerate_subsets(m: int, n: int, cap: int = SUBSET_CAP):
     return itertools.combinations(range(m), n)
 
 
-def _subset_certificate(B, weights, values, subset) -> SubsetCertificate:
-    BK = B[np.asarray(subset)]
-    hadamard = float(np.prod(np.max(np.abs(BK), axis=1)))
-    det = float(np.linalg.det(BK))
-    admissible = abs(det) > SINGULARITY_RTOL * hadamard and hadamard > 0.0
-    w_K = float(np.prod(weights[np.asarray(subset)]))
-    lam = w_K * det * det
-    coefficients = None
-    if admissible:
-        coefficients = np.linalg.solve(BK, values[np.asarray(subset)])
-    else:
-        lam = 0.0
-    return SubsetCertificate(
-        subset=tuple(subset), det=det, admissible=admissible, lam=lam,
-        coefficients=coefficients,
-    )
+# Subsets go through the sweep in chunks whose minors take about this many
+# bytes: enough for the stacked LAPACK calls to pay off, small enough that
+# the chunk's temporaries stay out of the peak memory.
+_BATCH_BYTES = 1 << 18
+
+
+def _solve_subsets(B, weights, values, K):
+    """Per subset in the rows of ``K``: ``det``, admissibility and ``lam`` (zero
+    where not admissible, overflowing without a warning); and the ``(A, n, d)``
+    interpolant coefficients of the admissible subsets."""
+    BK = B[K]
+    hadamard = np.prod(np.max(np.abs(BK), axis=2), axis=1)
+    det = np.linalg.det(BK)
+    admissible = (np.abs(det) > SINGULARITY_RTOL * hadamard) & (hadamard > 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam = np.prod(weights[K], axis=1) * det * det
+    lam[~admissible] = 0.0
+    coefficients = np.linalg.solve(BK[admissible], values[K[admissible]])
+    return det, admissible, lam, coefficients
 
 
 def interpolate_subset(space, cloud: WeightedPointCloud, subset) -> SubsetCertificate:
@@ -100,31 +104,51 @@ def interpolate_subset(space, cloud: WeightedPointCloud, subset) -> SubsetCertif
             f"subset size {len(subset)} must equal the space dimension {space.dim}"
         )
     B = collocation_matrix(space, cloud.sites)
-    return _subset_certificate(B, cloud.weights, cloud.values, subset)
+    K = np.array([subset])
+    return _certificates(K, *_solve_subsets(B, cloud.weights, cloud.values, K))[0]
 
 
+def _certificates(subsets, dets, admissible, lams, coefficients) -> tuple[SubsetCertificate, ...]:
+    interpolants = iter(coefficients)
+    return tuple(
+        SubsetCertificate(tuple(K), det, ok, lam, next(interpolants) if ok else None)
+        for K, det, ok, lam in zip(
+            subsets.tolist(), dets.tolist(), admissible.tolist(), lams.tolist())
+    )
+
+
+@dataclass(eq=False, repr=False)
 class Decomposition:
-    """All subset certificates of a cloud with their convex weights.
+    """All subset interpolation problems of a cloud with their convex weights.
 
-    ``normalizer`` is the sum of ``lam_K`` over admissible subsets in
-    lexicographic order; by the Cauchy-Binet identity it equals
-    ``det(B^T W B)``, which is kept for cross-checking.
+    Row ``k`` of ``subsets`` (``(N, n)`` point indices), ``dets``, ``lams``
+    and ``admissible_mask`` is the ``k``-th subset in lexicographic order;
+    ``coefficients`` stacks the admissible interpolants, ``(A, n, d)``.
+    ``normalizer`` is the sum of ``lam_K`` in lexicographic order; by the
+    Cauchy-Binet identity it equals ``det(B^T W B)``, kept for cross-checking.
+    The approximant's coefficients are ``sum_K lam_K c_K / normalizer``, so
+    evaluating it costs one spline evaluation, whatever the subset count.
     """
 
-    def __init__(self, space, cloud, certificates, normalizer, gram_det):
-        self.space = space
-        self.cloud = cloud
-        self.certificates = tuple(certificates)
-        self.normalizer = normalizer
-        self.gram_det = gram_det
+    space: object
+    cloud: WeightedPointCloud
+    subsets: np.ndarray
+    dets: np.ndarray
+    lams: np.ndarray
+    admissible_mask: np.ndarray
+    coefficients: np.ndarray
+    normalizer: float
+    gram_det: float
 
-    @property
-    def admissible(self) -> tuple[SubsetCertificate, ...]:
-        return tuple(c for c in self.certificates if c.admissible)
+    @cached_property
+    def certificates(self) -> tuple[SubsetCertificate, ...]:
+        """One certificate per subset in lexicographic order, built on first access."""
+        return _certificates(self.subsets, self.dets, self.admissible_mask, self.lams,
+                             self.coefficients)
 
     @property
     def num_admissible(self) -> int:
-        return sum(1 for c in self.certificates if c.admissible)
+        return len(self.coefficients)
 
     def cauchy_binet_residual(self) -> float:
         """Relative gap between the normalizer and ``det(B^T W B)``."""
@@ -133,69 +157,64 @@ class Decomposition:
 
     def reconstruct(self, x) -> np.ndarray:
         """Value of the weighted least-squares approximant at ``x``."""
-        idx, basis = self.space.eval_basis(x)
-        acc = np.zeros(self.cloud.dim_values)
-        for cert in self.certificates:
-            if cert.admissible:
-                acc += cert.lam * (basis @ cert.coefficients[idx])
-        return acc / self.normalizer
+        return self.to_function().evaluate(x)
 
     def reconstruct_derivative(self, x, alpha) -> np.ndarray:
         """Derivative of the approximant as the weighted average of interpolant derivatives."""
-        idx, basis = self.space.eval_basis_derivatives(x, alpha)
-        acc = np.zeros(self.cloud.dim_values)
-        for cert in self.certificates:
-            if cert.admissible:
-                acc += cert.lam * (basis @ cert.coefficients[idx])
-        return acc / self.normalizer
+        return self.to_function().evaluate_derivative(x, alpha)
 
     def derivative_bounds(self, x, alpha) -> tuple[np.ndarray, np.ndarray]:
         """Componentwise min and max of the interpolant derivatives at ``x``."""
         idx, basis = self.space.eval_basis_derivatives(x, alpha)
-        lo = np.full(self.cloud.dim_values, np.inf)
-        hi = np.full(self.cloud.dim_values, -np.inf)
-        for cert in self.certificates:
-            if cert.admissible:
-                val = basis @ cert.coefficients[idx]
-                np.minimum(lo, val, out=lo)
-                np.maximum(hi, val, out=hi)
-        return lo, hi
+        values = basis @ self.coefficients[:, idx]
+        return values.min(axis=0), values.max(axis=0)
 
     def to_function(self) -> SplineFunction:
         """The approximant itself, reassembled from the interpolant coefficients."""
-        acc = np.zeros((self.space.dim, self.cloud.dim_values))
-        for cert in self.certificates:
-            if cert.admissible:
-                acc += cert.lam * cert.coefficients
-        return SplineFunction(self.space, acc / self.normalizer)
+        lams = self.lams[self.admissible_mask]
+        return SplineFunction(
+            self.space, np.tensordot(lams, self.coefficients, axes=1) / self.normalizer
+        )
 
 
 def decompose(space, cloud: WeightedPointCloud, cap: int = SUBSET_CAP) -> Decomposition:
     """Enumerate all subset interpolation problems of the cloud.
 
-    Certificates are produced in lexicographic subset order and summed in
-    that order, so results are deterministic. Raises
-    :class:`RankDeficiencyError` when no subset is admissible (the weighted
-    least-squares problem itself is rank deficient).
+    Subsets go in lexicographic order, in chunks of about ``_BATCH_BYTES``
+    of minors, each one stacked determinant and one stacked solve over its
+    admissible minors; the normalizer is summed in that order, so results
+    are deterministic. Raises :class:`RankDeficiencyError` when no subset is
+    admissible (the least-squares problem is rank deficient), and
+    :class:`NumericError` when the weights ``lam_K`` leave the floating-point range.
     """
     n, m = space.dim, cloud.m
     if n > m:
         raise ValueError(f"space dimension {n} exceeds the number of points {m}")
     B = collocation_matrix(space, cloud.sites)
-    certificates = []
-    normalizer = 0.0
-    for subset in enumerate_subsets(m, n, cap):
-        cert = _subset_certificate(B, cloud.weights, cloud.values, subset)
-        certificates.append(cert)
-        normalizer += cert.lam
+    subsets = np.fromiter(
+        itertools.chain.from_iterable(enumerate_subsets(m, n, cap)), dtype=np.intp
+    ).reshape(-1, n)
+    step = max(1, _BATCH_BYTES // (8 * n * n))
+    chunks = [_solve_subsets(B, cloud.weights, cloud.values, subsets[i : i + step])
+              for i in range(0, len(subsets), step)]
+    dets, admissible, lams, coefficients = (np.concatenate(a) for a in zip(*chunks))
+    # One by one in lexicographic order, as a running sum; np.sum adds pairwise.
+    with np.errstate(over="ignore"):
+        normalizer = float(np.add.accumulate(lams)[-1])
 
-    if normalizer <= 0.0 or not np.isfinite(normalizer):
+    if not admissible.any():
         raise RankDeficiencyError(
             "no admissible interpolation subset: the least-squares problem is rank deficient"
         )
+    if not 0.0 < normalizer < np.inf:
+        raise NumericError(
+            f"subset weights lam_K = prod(w) * det^2 {'overflow' if normalizer else 'underflow'}:"
+            f" their sum over {len(coefficients)} admissible subsets is {normalizer!r}"
+        )
     gram = B.T @ (B * cloud.weights[:, None])
     gram_det = float(np.linalg.det(gram))
-    dec = Decomposition(space, cloud, certificates, normalizer, gram_det)
+    dec = Decomposition(space, cloud, subsets, dets, lams, admissible, coefficients,
+                        normalizer, gram_det)
     # Cauchy-Binet identity ties the subset sweep to the assembled system.
     if not dec.cauchy_binet_residual() < 1e-6:
         raise NumericError(

@@ -5,16 +5,23 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import splinefit
+import splinefit.interp_decomposition as idc
 from splinefit import (
+    NumericError,
     RankDeficiencyError,
+    SplineFunction,
     SplineSpace,
     SubsetCapError,
+    SubsetCertificate,
     WeightedPointCloud,
     collocation_matrix,
     decompose,
@@ -24,6 +31,7 @@ from splinefit import (
     make_open_knot_vector,
     schoenberg_whitney_admissible,
     solve_wls,
+    uniform_interior,
     weight_limit_solution,
 )
 
@@ -58,6 +66,36 @@ def brute_force_limit(space, cloud, held):
         return num / den
 
     return evaluate
+
+
+def subset_certificate(B, weights, values, subset) -> SubsetCertificate:
+    """Scalar reference for one subset: one determinant and one solve."""
+    BK = B[np.asarray(subset)]
+    hadamard = float(np.prod(np.max(np.abs(BK), axis=1)))
+    det = float(np.linalg.det(BK))
+    admissible = abs(det) > idc.SINGULARITY_RTOL * hadamard and hadamard > 0.0
+    w_K = float(np.prod(weights[np.asarray(subset)]))
+    lam = w_K * det * det
+    coefficients = None
+    if admissible:
+        coefficients = np.linalg.solve(BK, values[np.asarray(subset)])
+    else:
+        lam = 0.0
+    return SubsetCertificate(
+        subset=tuple(subset), det=det, admissible=admissible, lam=lam,
+        coefficients=coefficients,
+    )
+
+
+def scalar_sweep(space, cloud):
+    """Reference sweep: every subset in lexicographic order, summed one by one."""
+    B = collocation_matrix(space, cloud.sites)
+    certificates, normalizer = [], 0.0
+    for subset in enumerate_subsets(cloud.m, space.dim):
+        cert = subset_certificate(B, cloud.weights, cloud.values, subset)
+        certificates.append(cert)
+        normalizer += cert.lam
+    return certificates, normalizer
 
 
 class TestEnumerateSubsets:
@@ -165,14 +203,16 @@ class TestDecompose:
         # A sweep whose subset weights disagree with det(B^T W B) must raise
         # NumericError even when `python -O` strips assertions.
         script = (
-            "import dataclasses, sys\n"
+            "import sys\n"
             "import numpy as np\n"
             "import splinefit.interp_decomposition as idc\n"
             "from splinefit import NumericError, SplineSpace, WeightedPointCloud\n"
             "from splinefit import make_open_knot_vector\n"
-            "exact = idc._subset_certificate\n"
-            "idc._subset_certificate = lambda *a: dataclasses.replace(\n"
-            "    exact(*a), lam=2.0 * exact(*a).lam)\n"
+            "exact = idc._solve_subsets\n"
+            "def doubled(*a):\n"
+            "    det, admissible, lam, coefficients = exact(*a)\n"
+            "    return det, admissible, 2.0 * lam, coefficients\n"
+            "idc._solve_subsets = doubled\n"
             "space = SplineSpace(make_open_knot_vector((-5.0, 5.0), 2, []))\n"
             "cloud = WeightedPointCloud(np.linspace(-4.0, 4.0, 6), np.arange(6.0))\n"
             "try:\n"
@@ -197,6 +237,117 @@ class TestDecompose:
             np.testing.assert_allclose(
                 fn.evaluate([x]), dec.reconstruct([x]), atol=1e-12
             )
+
+
+def _cloud(rng, sites, d_values):
+    values = rng.normal(size=(len(sites), d_values))
+    return WeightedPointCloud(sites, values, rng.uniform(0.1, 1.0, len(sites)))
+
+
+def _reference_cases():
+    rng = np.random.default_rng(7)
+    seven = np.array([-4.5, -3.5, -2.2, -1.2, 0.8, 2.2, 4.0])
+    quad_spline = SplineSpace(make_open_knot_vector((-5.0, 5.0), 2, [-5.0 / 3.0, 5.0 / 3.0]))
+    quad_poly = SplineSpace(make_open_knot_vector((-5.0, 5.0), 2, []))
+    tensor = SplineSpace([make_open_knot_vector((0.0, 1.0), 1, []),
+                          make_open_knot_vector((0.0, 1.0), 2, [0.5])])
+    # Name, space, cloud, and whether some minor is singular: in the spline
+    # space subset (0, 1, 2, 3, 4) has no site in the last span.
+    yield "quadratic spline", quad_spline, _cloud(rng, seven, 1), True
+    yield "polynomial", quad_poly, _cloud(rng, seven, 1), False
+    yield "2-D tensor", tensor, _cloud(rng, rng.uniform(0.0, 1.0, (10, 2)), 1), False
+    yield "two value columns", quad_spline, _cloud(rng, seven, 2), True
+
+
+def assert_same_certificate(got, ref):
+    assert (got.subset, got.det, got.admissible, got.lam) == (
+        ref.subset, ref.det, ref.admissible, ref.lam)
+    if ref.admissible:
+        assert np.array_equal(got.coefficients, ref.coefficients)
+    else:
+        assert got.coefficients is None
+
+
+class TestBatchedSweep:
+    """The stacked sweep against the per-subset reference, bit for bit.
+
+    Both run the same LAPACK routines on the same minors and multiply in the
+    same order, and the normalizer is summed in lexicographic order on both
+    sides, so no tolerance is needed.
+    """
+
+    # The default chunks, a few subsets per chunk, and one subset per chunk.
+    @pytest.mark.parametrize("budget", [idc._BATCH_BYTES, 3 * 8 * 6 * 6, 1])
+    @pytest.mark.parametrize("case", list(_reference_cases()), ids=lambda c: c[0])
+    def test_equal_to_scalar_reference(self, case, budget, monkeypatch):
+        _, space, cloud, singular = case
+        monkeypatch.setattr(idc, "_BATCH_BYTES", budget)
+        expected, normalizer = scalar_sweep(space, cloud)
+        dec = decompose(space, cloud)
+        assert dec.normalizer == normalizer
+        assert len(dec.certificates) == len(expected)
+        assert any(not c.admissible for c in expected) == singular
+        for got, ref in zip(dec.certificates, expected):
+            assert_same_certificate(got, ref)
+
+    def test_interpolate_subset_equals_reference(self, quad_spline_space, seven_cloud):
+        B = collocation_matrix(quad_spline_space, seven_cloud.sites)
+        for subset in [(0, 1, 2, 3, 4), (0, 1, 2, 3, 6)]:
+            assert_same_certificate(
+                interpolate_subset(quad_spline_space, seven_cloud, subset),
+                subset_certificate(B, seven_cloud.weights, seven_cloud.values, subset),
+            )
+
+    @pytest.mark.parametrize("scale, kind", [(1e25, "overflow"), (1e-25, "underflow")])
+    def test_weight_range_reported_as_such(self, scale, kind):
+        # 18 sites, 16 cubic functions: every lam_K multiplies 16 weights.
+        kv = make_open_knot_vector((0.0, 1.0), 3, uniform_interior((0.0, 1.0), 12))
+        space = SplineSpace(kv)
+        sites = np.linspace(0.0, 1.0, 18)
+        cloud = WeightedPointCloud(sites, np.sin(3.0 * sites), np.full(18, scale))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match=kind) as info:
+                decompose(space, cloud)
+        assert not isinstance(info.value, RankDeficiencyError)
+
+
+@st.composite
+def small_problems(draw):
+    """A random curve space and a cloud of a few more sites than functions."""
+    degree = draw(st.integers(1, 3))
+    interior = draw(st.lists(st.sampled_from([0.25, 0.4, 0.5, 0.6, 0.75]),
+                             max_size=2, unique=True))
+    space = SplineSpace(make_open_knot_vector((0.0, 1.0), degree, sorted(interior)))
+    m = space.dim + draw(st.integers(1, 3))
+    sites = np.array(draw(st.lists(st.integers(0, 100), min_size=m, max_size=m,
+                                   unique=True))) / 100.0
+    d = draw(st.integers(1, 2))
+    values = draw(st.lists(st.floats(-10.0, 10.0), min_size=m * d, max_size=m * d))
+    weights = draw(st.lists(st.floats(0.1, 10.0), min_size=m, max_size=m))
+    return space, WeightedPointCloud(sites, np.reshape(values, (m, d)), weights)
+
+
+class TestReconstructionProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(small_problems(), st.lists(st.floats(0.0, 1.0), min_size=20, max_size=20))
+    def test_reconstruct_is_the_fit_and_bounds_bracket_it(self, problem, points):
+        space, cloud = problem
+        try:
+            dec = decompose(space, cloud)
+        except RankDeficiencyError:
+            assume(False)
+        B = collocation_matrix(space, cloud.sites)
+        fit = SplineFunction(space, solve_wls(B, cloud.weights, cloud.values))
+        for x in points:
+            ref = fit.evaluate([x])
+            got = dec.reconstruct([x])
+            assert np.all(np.abs(got - ref) <= 1e-9 * (1 + np.abs(ref)))
+            for alpha in range(space.degrees[0] + 1):
+                lo, hi = dec.derivative_bounds([x], (alpha,))
+                mid = dec.reconstruct_derivative([x], (alpha,))
+                slack = 1e-9 * (1 + np.maximum(np.abs(lo), np.abs(hi)))
+                assert np.all(lo - slack <= mid) and np.all(mid <= hi + slack)
 
 
 class TestDecompositionProperties:
