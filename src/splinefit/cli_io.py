@@ -230,28 +230,29 @@ def read_model(path) -> SplineFunction:
         raise ModelFormatError(f"{path}: missing or malformed field: {exc}") from None
     if len(knots) != len(degrees):
         raise ModelFormatError(f"{path}: one knot vector per degree required")
-    base = SplineSpace(
-        [KnotVector(np.asarray(t, dtype=float), d) for t, d in zip(knots, degrees)]
-    )
-    if kind == "tensor":
-        space = base
-    elif kind == "hierarchical":
-        cell_lists = doc.get("subdomains", [])
-        if not cell_lists:
-            raise ModelFormatError(f"{path}: hierarchical model without subdomains")
-        space = HierarchicalSpace.from_subdomains(base, cell_lists[1:])
+    if kind not in ("tensor", "hierarchical"):
+        raise ModelFormatError(f"{path}: unknown model kind {kind!r}")
+    cell_lists = doc.get("subdomains", [])
+    if kind == "hierarchical" and not cell_lists:
+        raise ModelFormatError(f"{path}: hierarchical model without subdomains")
+    # Knots, degrees, subdomains or coefficients no space accepts are a
+    # malformed file, not a usage error.
+    try:
+        space = SplineSpace(
+            [KnotVector(np.asarray(t, dtype=float), d) for t, d in zip(knots, degrees)]
+        )
+        if kind == "hierarchical":
+            space = HierarchicalSpace.from_subdomains(space, cell_lists[1:])
+        fn = SplineFunction(space, coefficients)
+    except ValueError as exc:
+        raise ModelFormatError(f"{path}: {exc}") from None
+    if kind == "hierarchical":
         stored = [list(map(int, a)) for a in doc.get("active", [])]
-        recomputed = [a.tolist() for a in space.active]
-        if stored != recomputed:
+        if stored != [a.tolist() for a in space.active]:
             raise ModelFormatError(
                 f"{path}: stored active sets disagree with the subdomain selection"
             )
-    else:
-        raise ModelFormatError(f"{path}: unknown model kind {kind!r}")
-    try:
-        return SplineFunction(space, coefficients)
-    except ValueError as exc:
-        raise ModelFormatError(f"{path}: {exc}") from None
+    return fn
 
 
 # ----------------------------------------------------------------------
@@ -470,6 +471,8 @@ def cmd_fit_adaptive(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if args.deriv < 0:
+        raise _UsageError(f"--deriv must be non-negative, got {args.deriv}")
     fn = read_model(args.model)
     space = fn.space
     ndim = space.ndim

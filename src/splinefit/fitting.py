@@ -119,10 +119,6 @@ class FitReport:
     def iterations(self) -> int:
         return len(self.records)
 
-    @property
-    def converged(self) -> bool:
-        return self.termination in ("tolerance", "eps")
-
 
 def update_weights(errors, weights, type_one, type_two, mode: str = "error_driven",
                    rho: float = 1.25, delta: float = 1e-8) -> np.ndarray:
@@ -193,10 +189,7 @@ def rwls_fit(space, cloud: WeightedPointCloud, config: FitConfig) -> FitReport:
     coeffs = None
     termination = "max_iter"
     for iteration in range(1, config.max_iter + 1):
-        if config.lam > 0:
-            coeffs = solve_penalized_wls(B, w, f, P, config.lam)
-        else:
-            coeffs = solve_wls(B, w, f)
+        coeffs = solve_penalized_wls(B, w, f, P, config.lam)
         e = np.linalg.norm(B @ coeffs - f, axis=1)
         records.append(_record(iteration, space.dim, e, k1, not_k2, k1.size, k2.size))
         if _max_over(e, k1) <= config.tol_i and records[-1].max_not_type_two <= config.tol_ii:
@@ -256,12 +249,9 @@ def adaptive_rwls_fit(
     termination = "level_cap"
     stagnant = 0
     for loop in range(1, config.max_levels + 1):
-        B = collocation_hierarchical(h, cloud.sites, sparse=True)
-        if config.lam > 0:
-            P = assemble_thin_plate(h)
-            coeffs = solve_penalized_wls(B, w, f, P, config.lam)
-        else:
-            coeffs = solve_wls(B.toarray(), w, f)
+        B = collocation_hierarchical(h, cloud.sites)
+        P = assemble_thin_plate(h) if config.lam > 0 else None
+        coeffs = solve_penalized_wls(B, w, f, P, config.lam)
         e = np.linalg.norm(B @ coeffs - f, axis=1)
         not_k2 = np.ones(cloud.m, dtype=bool)
         not_k2[k2] = False

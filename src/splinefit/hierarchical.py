@@ -81,15 +81,6 @@ def _window_all(mask: np.ndarray, los, his) -> np.ndarray:
     return total == volume
 
 
-def _coarsen_all(mask: np.ndarray) -> np.ndarray:
-    """AND-reduce each group of 2^N sibling cells to their parent cell."""
-    shape = []
-    for s in mask.shape:
-        shape += [s // 2, 2]
-    axes = tuple(range(1, 2 * mask.ndim, 2))
-    return mask.reshape(shape).all(axis=axes)
-
-
 class HierarchicalSpace:
     """Multi-level spline space defined by nested subdomains.
 
@@ -161,6 +152,10 @@ class HierarchicalSpace:
             shape = tuple(kv.num_cells for kv in space.knot_vectors)
             mask = np.zeros(shape, dtype=bool)
             flat = np.asarray(list(cells), dtype=np.intp)
+            if np.any((flat < 0) | (flat >= mask.size)):
+                raise ValueError(
+                    f"level {len(domains)} subdomain cell index out of range [0, {mask.size})"
+                )
             mask.ravel()[flat] = True
             domains.append(mask)
         return cls(levels, domains)
@@ -172,9 +167,6 @@ class HierarchicalSpace:
     @property
     def num_levels(self) -> int:
         return len(self.levels)
-
-    def contains(self, x) -> bool:
-        return self.levels[0].contains(x)
 
     # ------------------------------------------------------------------
     # Refinement
@@ -261,7 +253,7 @@ class HierarchicalSpace:
         for lev in range(len(self.levels)):
             mask = self.domains[lev]
             if lev + 1 < len(self.domains):
-                subdivided = _coarsen_all(self.domains[lev + 1])
+                subdivided = ~_coarsen_any(~self.domains[lev + 1])
             else:
                 subdivided = np.zeros_like(mask)
             yield lev, mask & ~subdivided
@@ -320,14 +312,8 @@ def build_hierarchical(base: SplineSpace, marked_per_level) -> HierarchicalSpace
     index tuples; levels are processed coarsest first so marks at level
     ``l + 1`` may target cells created by the level-``l`` marks.
     """
-    space = HierarchicalSpace.from_base(base)
-    if not marked_per_level:
-        return space
-    for lev in sorted(marked_per_level):
-        cells = [CellId(lev, tuple(ix)) for ix in marked_per_level[lev]]
-        if cells:
-            space = space.refine(cells, buffer=False)
-    return space
+    marked = [CellId(lev, tuple(ix)) for lev, cells in marked_per_level.items() for ix in cells]
+    return HierarchicalSpace.from_base(base).refine(marked, buffer=False)
 
 
 def mark_cells(h: HierarchicalSpace, sites, errors, eps: float) -> list[CellId]:
@@ -350,11 +336,10 @@ def mark_cells(h: HierarchicalSpace, sites, errors, eps: float) -> list[CellId]:
     return sorted(marked)
 
 
-def collocation_hierarchical(h: HierarchicalSpace, sites, sparse: bool = False):
-    """Collocation matrix of the hierarchical basis, dense by default.
+def collocation_hierarchical(h: HierarchicalSpace, sites) -> scipy.sparse.csr_matrix:
+    """Collocation matrix of the active hierarchical basis at the sites, as CSR.
 
-    With ``sparse=True`` a CSR matrix with identical entries is returned,
-    which the penalized solver consumes directly.
+    Both solvers take it as it is; ``collocation_matrix(h, sites)`` gives
+    the same entries dense.
     """
-    B = h.basis_matrix(sites)
-    return B if sparse else B.toarray()
+    return h.basis_matrix(sites)

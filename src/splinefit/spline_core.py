@@ -120,10 +120,6 @@ class KnotVector:
     def __hash__(self):
         return hash((self.degree, self.knots.tobytes()))
 
-    def contains(self, x: float) -> bool:
-        slack = _DOMAIN_RTOL * (self.end - self.start)
-        return self.start - slack <= x <= self.end + slack
-
     def _clip(self, x) -> np.ndarray:
         """Sites as floats, clipped onto the domain; raises for any site outside it."""
         x = np.asarray(x, dtype=float)
@@ -284,12 +280,6 @@ class SplineSpace:
         if p.shape != (self.ndim,):
             raise ValueError(f"expected a point in R^{self.ndim}, got shape {p.shape}")
         return p
-
-    def contains(self, x) -> bool:
-        p = np.atleast_1d(np.asarray(x, dtype=float))
-        if p.shape != (self.ndim,):
-            return False
-        return all(kv.contains(v) for kv, v in zip(self.knot_vectors, p))
 
     def eval_basis(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Indices and values of the locally supported basis functions at ``x``.

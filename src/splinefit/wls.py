@@ -1,9 +1,11 @@
 """Weighted and penalized least-squares solvers with thin-plate energy.
 
-The unpenalized solver works on the scaled system ``sqrt(W) B c = sqrt(W) f``
-through an orthogonal factorization shared across value components; normal
-equations are formed only for the penalized solve, where the energy matrix
-makes the orthogonal route unnatural.
+Both solvers take the collocation matrix ``B`` dense or scipy sparse, and
+only this module knows which format each needs. The unpenalized solver
+densifies ``B`` and works on ``sqrt(W) B c = sqrt(W) f`` through an
+orthogonal factorization shared across value components. The penalized
+solver forms its normal equations through the CSR Gram ``B^T W B``, where
+the energy matrix makes the orthogonal route unnatural.
 """
 
 from __future__ import annotations
@@ -58,12 +60,12 @@ def _finite(c, squeeze):
 def solve_wls(B, weights, f) -> np.ndarray:
     """Coefficients minimizing ``sum_i w_i ||(B c)_i - f_i||^2``.
 
-    All value components share one factorization. Raises
-    :class:`RankDeficiencyError` when the scaled matrix has numerical rank
-    below its column count and :class:`NumericError` when a coefficient is
-    not finite.
+    ``B`` may be dense or a scipy sparse matrix. All value components share
+    one factorization. Raises :class:`RankDeficiencyError` when the scaled
+    matrix has numerical rank below its column count and
+    :class:`NumericError` when a coefficient is not finite.
     """
-    B = np.asarray(B, dtype=float)
+    B = B.toarray() if scipy.sparse.issparse(B) else np.asarray(B, dtype=float)
     m, n = B.shape
     if n > m:
         raise RankDeficiencyError(f"underdetermined system: {n} unknowns, {m} rows")
@@ -179,26 +181,21 @@ def assemble_thin_plate(space) -> np.ndarray:
 def solve_penalized_wls(B, weights, f, P, lam: float) -> np.ndarray:
     """Solve ``(0.5 B^T W B + lam P) c = 0.5 B^T W f`` per value component.
 
-    ``B`` may be dense or a scipy sparse matrix. ``lam = 0`` reduces to
-    :func:`solve_wls`. Raises :class:`SingularSystemError` when the
+    ``B`` may be dense or a scipy sparse matrix; either gives the same
+    coefficients. ``lam = 0`` is :func:`solve_wls` and ignores ``P``, which
+    may then be ``None``. Raises :class:`SingularSystemError` when the
     regularized normal matrix cannot be factorized and :class:`NumericError`
     when a coefficient is not finite.
     """
     if lam < 0:
         raise ValueError("penalty weight must be non-negative")
     if lam == 0:
-        dense = B.toarray() if scipy.sparse.issparse(B) else B
-        return solve_wls(dense, weights, f)
+        return solve_wls(B, weights, f)
 
     w, f2, squeeze = _weighted_system(B, weights, f)
-    if scipy.sparse.issparse(B):
-        B = B.tocsr()
-        gram = (B.T @ B.multiply(w[:, None])).toarray()
-        rhs = B.T @ (f2 * w[:, None])
-    else:
-        B = np.asarray(B, dtype=float)
-        gram = B.T @ (B * w[:, None])
-        rhs = B.T @ (f2 * w[:, None])
+    B = scipy.sparse.csr_matrix(B)
+    gram = (B.T @ B.multiply(w[:, None])).toarray()
+    rhs = B.T @ (f2 * w[:, None])
     A = 0.5 * gram + lam * np.asarray(P)
     A = 0.5 * (A + A.T)
     try:

@@ -475,6 +475,45 @@ class TestExitCodes:
     def test_missing_file_is_io_error(self, capsys):
         assert main(["fit", "--cloud", "/nonexistent/none.csv"]) == 3
 
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda doc: doc["subdomains"][1].append(10**6),
+            # Level 1 has 8x8 cells: -64 would wrap onto cell 0, already in the subdomain.
+            lambda doc: doc["subdomains"][1].append(-64),
+            lambda doc: doc["knots"][0].reverse(),
+            lambda doc: doc.update(degree=[-1, 2]),
+        ],
+        ids=["cell-index-too-large", "cell-index-negative", "decreasing-knots", "negative-degree"],
+    )
+    def test_malformed_model_is_io_error(self, tmp_path, capsys, tamper):
+        """Model contents no space accepts exit 3 and name the file."""
+        kv = make_open_knot_vector((0.0, 1.0), 2, uniform_interior((0.0, 1.0), 3))
+        h = HierarchicalSpace.from_base(SplineSpace([kv, kv])).refine(
+            [CellId(0, (0, 0))], buffer=False
+        )
+        path = tmp_path / "h.json"
+        write_model(path, SplineFunction(h, np.ones((h.dim, 1))))
+        doc = json.loads(path.read_text())
+        tamper(doc)
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "s.csv"
+        rc = main(["sample", "--model", str(path), "--grid", "5x5", "--out", str(out)])
+        assert rc == 3
+        assert str(path) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_deriv_is_config_error(self, tmp_path, capsys):
+        space = SplineSpace(make_open_knot_vector((0.0, 1.0), 2, [0.5]))
+        model = tmp_path / "m.json"
+        write_model(model, SplineFunction(space, np.ones(space.dim)))
+        out = tmp_path / "s.csv"
+        rc = main(["sample", "--model", str(model), "--grid", "5", "--deriv", "-1",
+                   "--out", str(out)])
+        assert rc == 1
+        assert "-1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_cloud_is_io_error(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x1,f1\n0.0\n")

@@ -164,7 +164,7 @@ class TestBuildHierarchical:
         assert removed
         rng = np.random.default_rng(1)
         pts = rng.uniform(0, 1, (400, 2))
-        B_fine = collocation_hierarchical(h1, pts)
+        B_fine = collocation_hierarchical(h1, pts).toarray()
         for j in removed:
             target = np.array(
                 [_tensor_function_value(base, j, x) for x in pts]
@@ -266,7 +266,7 @@ class TestCollocationHierarchical:
         rng = np.random.default_rng(6)
         sites = rng.uniform(0, 1, (30, 2))
         np.testing.assert_allclose(
-            collocation_hierarchical(h, sites), collocation_matrix(base, sites)
+            collocation_hierarchical(h, sites).toarray(), collocation_matrix(base, sites)
         )
 
     def test_rows_match_pointwise_evaluation(self):
@@ -276,7 +276,7 @@ class TestCollocationHierarchical:
         )
         rng = np.random.default_rng(8)
         sites = rng.uniform(0, 1, (40, 2))
-        B = collocation_hierarchical(h, sites)
+        B = collocation_hierarchical(h, sites).toarray()
         assert B.shape == (40, h.dim)
         for i, x in enumerate(sites):
             idx, vals = h.eval_basis(x)
@@ -285,13 +285,14 @@ class TestCollocationHierarchical:
             np.testing.assert_allclose(B[i], row, atol=1e-15)
 
     def test_sparse_equals_dense(self):
+        """The CSR collocation holds the entries of the dense ``collocation_matrix``."""
         base = grid_space(2, 4)
         h = HierarchicalSpace.from_base(base).refine([CellId(0, (1, 2))], buffer=False)
         rng = np.random.default_rng(9)
         sites = rng.uniform(0, 1, (25, 2))
-        dense = collocation_hierarchical(h, sites)
-        sparse = collocation_hierarchical(h, sites, sparse=True)
-        np.testing.assert_allclose(sparse.toarray(), dense)
+        sparse = collocation_hierarchical(h, sites)
+        assert sparse.format == "csr"
+        np.testing.assert_array_equal(sparse.toarray(), collocation_matrix(h, sites))
 
 
 class TestHierarchicalPenalty:

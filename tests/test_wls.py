@@ -2,14 +2,18 @@
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from splinefit import (
+    CellId,
+    HierarchicalSpace,
     NumericError,
     RankDeficiencyError,
     SplineFunction,
     SplineSpace,
     WeightedPointCloud,
     assemble_thin_plate,
+    collocation_hierarchical,
     collocation_matrix,
     make_open_knot_vector,
     metrics,
@@ -170,6 +174,34 @@ class TestSolvePenalizedWls:
         f = np.sin(3 * sites[:, 0]) + sites[:, 1] ** 2 + 0.05 * rng.normal(size=60)
         P = assemble_thin_plate(space)
         return B, w, f, P
+
+    @pytest.fixture
+    def hierarchical_instance(self):
+        """A 2-level hierarchical problem whose collocation comes as CSR."""
+        kv = make_open_knot_vector((0.0, 1.0), 2, [0.25, 0.5, 0.75])
+        h = HierarchicalSpace.from_base(SplineSpace([kv, kv])).refine(
+            [CellId(0, (1, 1)), CellId(0, (1, 2))], buffer=False
+        )
+        assert h.num_levels == 2
+        rng = np.random.default_rng(29)
+        sites = rng.uniform(0, 1, (300, 2))
+        B = collocation_hierarchical(h, sites)
+        w = rng.uniform(0.2, 2.0, 300)
+        f = np.cos(2 * sites[:, 0]) * sites[:, 1] + 0.05 * rng.normal(size=300)
+        return B, w, f, assemble_thin_plate(h)
+
+    @pytest.mark.parametrize("case", ["instance", "hierarchical_instance"])
+    def test_dense_and_csr_give_identical_coefficients(self, case, request):
+        B, w, f, P = request.getfixturevalue(case)
+        dense = B.toarray() if scipy.sparse.issparse(B) else B
+        csr = scipy.sparse.csr_matrix(B)
+        plain = solve_wls(dense, w, f)
+        np.testing.assert_array_equal(solve_wls(csr, w, f), plain)
+        for B_in in (dense, csr):
+            np.testing.assert_array_equal(solve_penalized_wls(B_in, w, f, P, 0.0), plain)
+        np.testing.assert_array_equal(
+            solve_penalized_wls(csr, w, f, P, 1e-5), solve_penalized_wls(dense, w, f, P, 1e-5)
+        )
 
     def test_zero_penalty_reduces_to_wls(self, instance):
         B, w, f, P = instance
