@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import math
@@ -44,7 +45,6 @@ from .spline_core import (
     SplineSpace,
     WeightedPointCloud,
     averaging_knots,
-    collocation_matrix,
     make_open_knot_vector,
     parameterize,
     uniform_interior,
@@ -214,6 +214,19 @@ def write_model(path, fn: SplineFunction) -> None:
         handle.write(text + "\n")
 
 
+def _json_array(raw, kinds: str, ndim: int | None = None) -> np.ndarray:
+    """A JSON array whose numbers are of the numpy kinds ``kinds`` (``"i"``, ``"if"``).
+
+    Raises ``ValueError`` for ``null``, strings, booleans, fractions where
+    integers belong, ragged nesting or a scalar where an array belongs.
+    """
+    arr = np.asarray(raw)
+    if (arr.dtype.kind not in kinds and arr.size) or (ndim is not None and arr.ndim != ndim):
+        expected = "integers" if kinds == "i" else "numbers"
+        raise ValueError(f"expected an array of {expected}, got {json.dumps(raw)[:40]}")
+    return arr
+
+
 def read_model(path) -> SplineFunction:
     """Load a model written by :func:`write_model`."""
     with open(path, encoding="utf-8") as handle:
@@ -223,35 +236,32 @@ def read_model(path) -> SplineFunction:
             raise ModelFormatError(f"{path}: invalid JSON: {exc}") from None
     try:
         kind = doc["kind"]
-        degrees = [int(v) for v in doc["degree"]]
-        knots = doc["knots"]
-        coefficients = np.asarray(doc["coefficients"], dtype=float)
-    except (KeyError, TypeError) as exc:
+        degrees = _json_array(doc["degree"], "i", 1).tolist()
+        knots = [_json_array(t, "if", 1) for t in doc["knots"]]
+        coefficients = _json_array(doc["coefficients"], "if").astype(float)
+        cell_lists = [_json_array(c, "i", 1) for c in doc.get("subdomains", [])]
+        stored = [_json_array(a, "i", 1).tolist() for a in doc.get("active", [])]
+    except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"{path}: missing or malformed field: {exc}") from None
     if len(knots) != len(degrees):
         raise ModelFormatError(f"{path}: one knot vector per degree required")
     if kind not in ("tensor", "hierarchical"):
         raise ModelFormatError(f"{path}: unknown model kind {kind!r}")
-    cell_lists = doc.get("subdomains", [])
     if kind == "hierarchical" and not cell_lists:
         raise ModelFormatError(f"{path}: hierarchical model without subdomains")
     # Knots, degrees, subdomains or coefficients no space accepts are a
     # malformed file, not a usage error.
     try:
-        space = SplineSpace(
-            [KnotVector(np.asarray(t, dtype=float), d) for t, d in zip(knots, degrees)]
-        )
+        space = SplineSpace([KnotVector(t.astype(float), d) for t, d in zip(knots, degrees)])
         if kind == "hierarchical":
             space = HierarchicalSpace.from_subdomains(space, cell_lists[1:])
         fn = SplineFunction(space, coefficients)
     except ValueError as exc:
         raise ModelFormatError(f"{path}: {exc}") from None
-    if kind == "hierarchical":
-        stored = [list(map(int, a)) for a in doc.get("active", [])]
-        if stored != [a.tolist() for a in space.active]:
-            raise ModelFormatError(
-                f"{path}: stored active sets disagree with the subdomain selection"
-            )
+    if kind == "hierarchical" and stored != [a.tolist() for a in space.active]:
+        raise ModelFormatError(
+            f"{path}: stored active sets disagree with the subdomain selection"
+        )
     return fn
 
 
@@ -383,7 +393,7 @@ def cmd_verify(args) -> int:
         space = _build_curve_space(args, cloud.sites)
 
     dec = decompose(space, cloud)
-    B = collocation_matrix(space, cloud.sites)
+    B = space.basis_matrix(cloud.sites)
     direct = SplineFunction(space, solve_wls(B, cloud.weights, cloud.values))
     grid = np.linspace(space.domain[0][0], space.domain[0][1], 101)
     ref = direct.evaluate_many(grid)
@@ -505,7 +515,9 @@ def cmd_sample(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built on first use and shared by every :func:`main` call."""
     parser = _Parser(prog="splinefit", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

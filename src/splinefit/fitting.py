@@ -23,12 +23,7 @@ from .hierarchical import (
     collocation_hierarchical,
     mark_cells,
 )
-from .spline_core import (
-    SplineFunction,
-    SplineSpace,
-    WeightedPointCloud,
-    collocation_matrix,
-)
+from .spline_core import SplineFunction, WeightedPointCloud
 from .wls import assemble_thin_plate, solve_penalized_wls, solve_wls
 
 __all__ = [
@@ -176,7 +171,7 @@ def rwls_fit(space, cloud: WeightedPointCloud, config: FitConfig) -> FitReport:
     ordinary least-squares solve). With ``update_all_marked`` every marked
     weight is updated each iteration regardless of its own error.
     """
-    B = collocation_matrix(space, cloud.sites)
+    B = space.basis_matrix(cloud.sites)
     P = assemble_thin_plate(space) if config.lam > 0 else None
     w = cloud.weights.copy()
     f = cloud.values
@@ -209,7 +204,7 @@ def rwls_fit(space, cloud: WeightedPointCloud, config: FitConfig) -> FitReport:
 
 def init_markers_from_ls(space, cloud: WeightedPointCloud, eps: float) -> np.ndarray:
     """Type I candidates: sites whose ordinary least-squares error exceeds ``eps``."""
-    B = collocation_matrix(space, cloud.sites)
+    B = space.basis_matrix(cloud.sites)
     coeffs = solve_wls(B, np.ones(cloud.m), cloud.values)
     e = np.linalg.norm(B @ coeffs - cloud.values, axis=1)
     return np.flatnonzero(e > eps)

@@ -1,11 +1,11 @@
 """Weighted and penalized least-squares solvers with thin-plate energy.
 
-Both solvers take the collocation matrix ``B`` dense or scipy sparse, and
-only this module knows which format each needs. The unpenalized solver
-densifies ``B`` and works on ``sqrt(W) B c = sqrt(W) f`` through an
-orthogonal factorization shared across value components. The penalized
-solver forms its normal equations through the CSR Gram ``B^T W B``, where
-the energy matrix makes the orthogonal route unnatural.
+Both solvers take the collocation matrix ``B`` dense or scipy sparse and
+work on its CSR form; neither densifies it. The unpenalized solver factors
+``sqrt(W) B c = sqrt(W) f`` by a banded block Householder QR that keeps only
+the triangle ``R``, shared across value components. The penalized solver
+forms its normal equations through the CSR Gram ``B^T W B``, where the
+energy matrix makes the orthogonal route unnatural.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+from scipy.linalg.lapack import dtpqrt as _tpqrt
 
 from .errors import NumericError, RankDeficiencyError, SingularSystemError
 from .hierarchical import HierarchicalSpace
@@ -31,8 +32,13 @@ __all__ = [
     "RANK_RTOL",
 ]
 
-# Singular values below RANK_RTOL times the largest count as zero.
+# Diagonal entries |R_jj| of the triangular factor at or below RANK_RTOL
+# times the largest count as zero.
 RANK_RTOL = 1e-12
+
+# Columns per block of the banded QR sweep, also the LAPACK block size of
+# each triangular-pentagonal QR. Blocks of 8 to 32 columns time alike.
+_BLOCK = 16
 
 
 def _weighted_system(B, weights, f):
@@ -60,23 +66,85 @@ def _finite(c, squeeze):
 def solve_wls(B, weights, f) -> np.ndarray:
     """Coefficients minimizing ``sum_i w_i ||(B c)_i - f_i||^2``.
 
-    ``B`` may be dense or a scipy sparse matrix. All value components share
-    one factorization. Raises :class:`RankDeficiencyError` when the scaled
-    matrix has numerical rank below its column count and
-    :class:`NumericError` when a coefficient is not finite.
+    ``B`` may be dense or a scipy sparse matrix; both go through the same
+    canonical CSR form, so they give the same coefficients. ``B`` is never
+    densified: a sequential block Householder QR of the banded system
+    ``sqrt(W) B c = sqrt(W) f`` (Lawson & Hanson, *Solving Least Squares
+    Problems*, ch. 27) keeps only the ``n x n`` triangle ``R``.
+
+    Columns are numbered by the first row, in order of first column, that
+    touches them. This keeps the order of a curve space, nearly keeps that
+    of a tensor space and interleaves the levels of a hierarchical space by
+    position, which narrows the window. Rows are then sorted by
+    their first column and swept in blocks of ``_BLOCK`` columns: a block's
+    rows, with all value components as extra columns, are folded into the
+    trailing window of ``R`` by one triangular-pentagonal QR, after which
+    the block's rows of ``R`` are final. One triangular solve finishes.
+
+    Raises :class:`RankDeficiencyError` when some ``|R_jj|`` is at most
+    ``RANK_RTOL`` times the largest and :class:`NumericError` when the
+    factor or a coefficient is not finite.
     """
-    B = B.toarray() if scipy.sparse.issparse(B) else np.asarray(B, dtype=float)
-    m, n = B.shape
-    if n > m:
-        raise RankDeficiencyError(f"underdetermined system: {n} unknowns, {m} rows")
-    w, f2, squeeze = _weighted_system(B, weights, f)
-    sqrt_w = np.sqrt(w)
-    c, _, rank, _ = np.linalg.lstsq(
-        B * sqrt_w[:, None], f2 * sqrt_w[:, None], rcond=RANK_RTOL
-    )
+    A = scipy.sparse.csr_matrix(B, dtype=float, copy=True)
+    m, n = A.shape
+    w, f2, squeeze = _weighted_system(A, weights, f)
+    A.sum_duplicates()
+    A.eliminate_zeros()
+    counts = np.diff(A.indptr)
+    rows = np.flatnonzero(counts)
+    if rows.size < n:
+        raise RankDeficiencyError(
+            f"underdetermined system: {n} unknowns, {rows.size} nonzero rows"
+        )
+
+    # Column order: by the first row, in order of first column, touching it.
+    rank_of = np.empty(m, dtype=np.intp)
+    rank_of[rows[np.argsort(A.indices[A.indptr[rows]], kind="stable")]] = np.arange(rows.size)
+    touch = np.full(n, m, dtype=np.intp)
+    np.minimum.at(touch, A.indices, np.repeat(rank_of, counts))
+    pos = np.empty(n, dtype=np.intp)
+    pos[np.argsort(touch, kind="stable")] = np.arange(n)
+
+    # Rows with a nonzero, scaled and sorted by their first column in that order.
+    cols = pos[A.indices]
+    first = np.minimum.reduceat(cols, A.indptr[rows])
+    order = np.argsort(first, kind="stable")
+    rows, first = rows[order], first[order]
+    sqrt_w = np.sqrt(w[rows])
+    A = scipy.sparse.csr_matrix((A.data, cols, A.indptr), shape=(m, n))[rows]
+    vals = A.data * np.repeat(sqrt_w, np.diff(A.indptr))
+    row_of = np.repeat(np.arange(rows.size), np.diff(A.indptr))
+    rhs = f2[rows] * sqrt_w[:, None]
+    reach = np.maximum.accumulate(np.maximum.reduceat(A.indices, A.indptr[:-1])) + 1
+
+    k = rhs.shape[1]
+    R = np.zeros((n, n), order="F")
+    G = np.zeros((n, k))
+    edges = np.searchsorted(first, np.arange(0, n + _BLOCK, _BLOCK))
+    for j0, r0, r1 in zip(range(0, n, _BLOCK), edges[:-1], edges[1:]):
+        if r0 == r1:
+            continue
+        hi = max(min(j0 + _BLOCK, n), reach[r1 - 1])
+        width = hi - j0
+        top = np.zeros((width + k, width + k), order="F")
+        top[:width, :width] = R[j0:hi, j0:hi]
+        top[:width, width:] = G[j0:hi]
+        new = np.zeros((r1 - r0, width + k), order="F")
+        p0, p1 = A.indptr[r0], A.indptr[r1]
+        new[row_of[p0:p1] - r0, A.indices[p0:p1] - j0] = vals[p0:p1]
+        new[:, width:] = rhs[r0:r1]
+        top = _tpqrt(0, min(_BLOCK, width + k), top, new, overwrite_a=1, overwrite_b=1)[0]
+        R[j0:hi, j0:hi] = top[:width, :width]
+        G[j0:hi] = top[:width, width:]
+
+    diag = np.abs(np.diagonal(R))
+    if not np.all(np.isfinite(diag)):
+        raise NumericError("triangular factor is not finite (the weighted system overflows)")
+    rank = np.count_nonzero(diag > RANK_RTOL * diag.max())
     if rank < n:
-        raise RankDeficiencyError(f"collocation matrix has rank {rank} < {n}")
-    return _finite(c, squeeze)
+        raise RankDeficiencyError(f"collocation matrix has numerical rank {rank} < {n}")
+    c = scipy.linalg.solve_triangular(R, G, check_finite=False)
+    return _finite(c[pos], squeeze)
 
 
 def _second_order_multi_indices(ndim):

@@ -2,12 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from splinefit import (
     SplineSpace,
     WeightedPointCloud,
     make_open_knot_vector,
 )
+
+# Property tests draw the same examples on every run and take as long as they need.
+settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
+settings.load_profile("deterministic")
 
 # The univariate benchmark: seven observations fitted throughout the suite.
 SEVEN_SITES = np.array([-4.5, -3.5, -2.2, -1.2, 0.8, 2.2, 4.0])

@@ -471,6 +471,49 @@ class TestSampleCommand:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+class TestParserReuse:
+    def test_back_to_back_calls_see_only_their_own_defaults(
+        self, tmp_path, seven_csv, monkeypatch
+    ):
+        """One parser serves every call; no flag or subcommand leaks into the next."""
+        from splinefit import cli_io, evaluate_3peaks
+
+        seen = []
+        build_config = cli_io._fit_config
+
+        def spy(args):
+            seen.append(vars(args).copy())
+            return build_config(args)
+
+        monkeypatch.setattr(cli_io, "_fit_config", spy)
+        g = np.linspace(-1, 1, 12)
+        X, Y = np.meshgrid(g, g, indexing="ij")
+        sites = np.column_stack([X.ravel(), Y.ravel()])
+        surface = tmp_path / "surf.csv"
+        write_point_cloud(
+            surface, WeightedPointCloud(sites, evaluate_3peaks(sites[:, 0], sites[:, 1])),
+            weights=False, markers=False,
+        )
+        curve = ["fit", "--cloud", seven_csv, "--knots", "uniform", "--interior-knots"]
+        assert main([*curve, "2", "--degree", "2", "--tol-i", "0.5", "--alpha", "fixed:2",
+                     "--max-iter", "3", "--lambda", "1e-3"]) == 0
+        assert main(["fit-adaptive", "--cloud", str(surface), "--mesh", "4x4",
+                     "--eps", "0.5", "--levels", "1"]) == 0
+        assert main(["verify", "--cloud", seven_csv]) == 0
+        assert main([*curve, "1"]) == 0
+
+        flagged, adaptive, plain = seen
+        assert (flagged["degree"], flagged["max_iter"], flagged["lam"]) == ([2], 3, 1e-3)
+        assert (adaptive["lam"], adaptive["alpha"], adaptive["tol_i"]) == (1e-6, "fixed:1.25", None)
+        assert adaptive["levels"] == 1
+        assert plain["degree"] == [3] and plain["interior_knots"] == 1
+        assert (plain["tol_i"], plain["alpha"], plain["max_iter"], plain["lam"]) == (
+            1e-3, "error", 100, 0.0
+        )
+        assert not {"eps", "levels", "mesh", "basis"} & plain.keys()
+        assert cli_io._build_parser() is cli_io._build_parser()
+
+
 class TestExitCodes:
     def test_missing_file_is_io_error(self, capsys):
         assert main(["fit", "--cloud", "/nonexistent/none.csv"]) == 3
@@ -483,8 +526,17 @@ class TestExitCodes:
             lambda doc: doc["subdomains"][1].append(-64),
             lambda doc: doc["knots"][0].reverse(),
             lambda doc: doc.update(degree=[-1, 2]),
+            lambda doc: doc["subdomains"][1].append(None),
+            lambda doc: doc["active"][0].append(None),
+            lambda doc: doc.update(subdomains=[doc["subdomains"][0], 5]),
+            lambda doc: doc["coefficients"][0].__setitem__(0, "x"),
+            lambda doc: doc["active"][0].__setitem__(0, "a"),
+            # 0.5 would truncate onto cell 0, already in the subdomain.
+            lambda doc: doc["subdomains"][1].append(0.5),
         ],
-        ids=["cell-index-too-large", "cell-index-negative", "decreasing-knots", "negative-degree"],
+        ids=["cell-index-too-large", "cell-index-negative", "decreasing-knots", "negative-degree",
+             "null-subdomain-entry", "null-active-entry", "number-for-subdomain-list",
+             "non-numeric-coefficient", "non-numeric-active-entry", "fractional-cell-index"],
     )
     def test_malformed_model_is_io_error(self, tmp_path, capsys, tamper):
         """Model contents no space accepts exit 3 and name the file."""

@@ -1,12 +1,23 @@
 """Weighted and penalized least squares, thin-plate energy, metrics."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.interpolate
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import splinefit
 
 from splinefit import (
     CellId,
     HierarchicalSpace,
+    KnotVector,
     NumericError,
     RankDeficiencyError,
     SplineFunction,
@@ -19,9 +30,167 @@ from splinefit import (
     metrics,
     solve_penalized_wls,
     solve_wls,
+    uniform_interior,
 )
+from splinefit.wls import RANK_RTOL
 
 from conftest import normal_equation_solve
+
+
+def lstsq_reference(B, weights, f):
+    """The dense SVD solve ``solve_wls`` used before the banded QR, kept as a reference."""
+    B = B.toarray() if scipy.sparse.issparse(B) else np.asarray(B, dtype=float)
+    f = np.asarray(f, dtype=float)
+    sqrt_w = np.sqrt(np.asarray(weights, dtype=float))
+    rhs = f[:, None] if f.ndim == 1 else f
+    c, _, rank, _ = np.linalg.lstsq(B * sqrt_w[:, None], rhs * sqrt_w[:, None], rcond=RANK_RTOL)
+    assert rank == B.shape[1]
+    return c[:, 0] if f.ndim == 1 else c
+
+
+def hierarchical_problem():
+    """A 2-level hierarchical problem whose collocation comes as CSR."""
+    kv = make_open_knot_vector((0.0, 1.0), 2, [0.25, 0.5, 0.75])
+    h = HierarchicalSpace.from_base(SplineSpace([kv, kv])).refine(
+        [CellId(0, (1, 1)), CellId(0, (1, 2))], buffer=False
+    )
+    assert h.num_levels == 2
+    rng = np.random.default_rng(29)
+    sites = rng.uniform(0, 1, (300, 2))
+    B = collocation_hierarchical(h, sites)
+    w = rng.uniform(0.2, 2.0, 300)
+    f = np.cos(2 * sites[:, 0]) * sites[:, 1] + 0.05 * rng.normal(size=300)
+    return h, B, w, f
+
+
+def curve_problem(columns=1, spread=10.0):
+    """A cubic with a double interior knot on 120 sorted sites, weights spread ``spread``."""
+    rng = np.random.default_rng(41)
+    kv = KnotVector(np.r_[[0.0] * 4, 0.2, 0.5, 0.5, 0.8, [1.0] * 4], 3)
+    sites = np.sort(rng.uniform(0.0, 1.0, 120))
+    w = rng.permutation(np.geomspace(1.0, spread, 120))
+    F = np.column_stack([np.sin(5 * sites + k) + np.abs(sites - 0.5) for k in range(columns)])
+    return kv, sites, SplineSpace(kv).basis_matrix(sites), w, F[:, 0] if columns == 1 else F
+
+
+def tensor_problem():
+    rng = np.random.default_rng(43)
+    space = SplineSpace(
+        [
+            make_open_knot_vector((0.0, 1.0), 2, uniform_interior((0.0, 1.0), 4)),
+            make_open_knot_vector((-1.0, 1.0), 3, uniform_interior((-1.0, 1.0), 3)),
+        ]
+    )
+    sites = np.column_stack([rng.uniform(0, 1, 400), rng.uniform(-1, 1, 400)])
+    f = np.exp(sites[:, 0]) * np.sin(2 * sites[:, 1])
+    return space.basis_matrix(sites), rng.uniform(0.1, 3.0, 400), f
+
+
+BANDED_CASES = {
+    "cubic-double-knot": lambda: curve_problem()[2:],
+    "tensor-2d": tensor_problem,
+    "hierarchical-2-level": lambda: hierarchical_problem()[1:],
+    "three-columns": lambda: curve_problem(columns=3)[2:],
+    "weights-spread-1e8": lambda: curve_problem(spread=1e8)[2:],
+}
+
+
+class TestBandedQr:
+    @pytest.mark.parametrize("case", sorted(BANDED_CASES))
+    def test_matches_dense_svd_reference(self, case):
+        B, w, f = BANDED_CASES[case]()
+        ref = lstsq_reference(B, w, f)
+        c = solve_wls(B, w, f)
+        assert c.shape == ref.shape
+        assert np.abs(c - ref).max() <= 1e-10 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("columns, spread", [(1, 10.0), (3, 10.0), (1, 1e8)])
+    def test_matches_scipy_lsq_spline(self, columns, spread):
+        """An independent 1-D oracle: FITPACK-style QR of the weighted spline problem."""
+        kv, sites, B, w, f = curve_problem(columns, spread)
+        spl = scipy.interpolate.make_lsq_spline(
+            sites, f, kv.knots, kv.degree, w=np.sqrt(w), method="qr"
+        )
+        c = solve_wls(B, w, f)
+        assert np.abs(c - spl.c).max() <= 1e-10 * np.abs(spl.c).max()
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_raises_exactly_when_a_function_has_no_site(self, data):
+        """Greville sites plus extras, minus every site in the support of some functions.
+
+        The Greville abscissae satisfy the Schoenberg-Whitney condition, so
+        with none removed the problem has full rank; removing the sites of a
+        function's closed support leaves its column zero.
+        """
+        degree = data.draw(st.integers(1, 3), label="degree")
+        kv = make_open_knot_vector(
+            (0.0, 1.0), degree, uniform_interior((0.0, 1.0), data.draw(st.integers(0, 5)))
+        )
+        starved = data.draw(st.sets(st.integers(0, kv.dim - 1), max_size=2), label="starved")
+        extra = data.draw(st.lists(st.floats(0.0, 1.0), max_size=12), label="extra")
+        sites = np.sort(np.concatenate([kv.greville(), extra]))
+        t, k = kv.knots, kv.order
+        for j in starved:
+            sites = sites[(sites < t[j]) | (sites > t[j + k])]
+        m = sites.size
+        w = np.array(data.draw(st.lists(st.floats(0.1, 10.0), min_size=m, max_size=m)))
+        f = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=m, max_size=m)))
+        B = SplineSpace(kv).basis_matrix(sites)
+        if (abs(B).sum(axis=0) == 0).any():
+            with pytest.raises(RankDeficiencyError):
+                solve_wls(B, w, f)
+            return
+        c = solve_wls(B, w, f)
+        residual = B.T @ (w * (B @ c - f))
+        assert np.abs(residual).max() < 1e-8 * max(np.abs(f).max(), 1.0)
+
+    def test_e5_least_squares_fits_in_4_gib_of_address_space(self):
+        """300x300 sites on a 60x60 bicubic mesh: the dense scaled B alone would be 2.66 GiB."""
+        script = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))\n"
+            "import numpy as np\n"
+            "import splinefit as sf\n"
+            "g = np.linspace(-1.0, 1.0, 300)\n"
+            "X, Y = np.meshgrid(g, g, indexing='ij')\n"
+            "sites = np.column_stack([X.ravel(), Y.ravel()])\n"
+            "f = sf.evaluate_3peaks(sites[:, 0], sites[:, 1])\n"
+            "kv = sf.make_open_knot_vector((-1.0, 1.0), 3, sf.uniform_interior((-1.0, 1.0), 59))\n"
+            "space = sf.SplineSpace([kv, kv])\n"
+            "markers = sf.init_markers_from_ls(space, sf.WeightedPointCloud(sites, f), 2e-3)\n"
+            "print(space.dim, markers.size)\n"
+        )
+        src = Path(splinefit.__file__).resolve().parent.parent
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+            [str(src), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        dim, count = map(int, proc.stdout.split())
+        assert dim == 3969 and 0 < count < 90000
+
+    def test_rank_guard_runs_under_python_O(self):
+        """The |diag R| test is an if and raise, so ``python -O`` keeps it."""
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from splinefit import RankDeficiencyError, solve_wls\n"
+            "assert False, 'asserts are live'\n"
+            "try:\n"
+            "    solve_wls(np.ones((5, 2)), np.ones(5), np.arange(5.0))\n"
+            "except RankDeficiencyError as exc:\n"
+            "    print('raised:', exc)\n"
+            "    sys.exit(0)\n"
+            "sys.exit(1)\n"
+        )
+        src = Path(splinefit.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "raised: collocation matrix has numerical rank 1 < 2" in proc.stdout
 
 
 def interpolate_on(space, values_fn):
@@ -177,17 +346,7 @@ class TestSolvePenalizedWls:
 
     @pytest.fixture
     def hierarchical_instance(self):
-        """A 2-level hierarchical problem whose collocation comes as CSR."""
-        kv = make_open_knot_vector((0.0, 1.0), 2, [0.25, 0.5, 0.75])
-        h = HierarchicalSpace.from_base(SplineSpace([kv, kv])).refine(
-            [CellId(0, (1, 1)), CellId(0, (1, 2))], buffer=False
-        )
-        assert h.num_levels == 2
-        rng = np.random.default_rng(29)
-        sites = rng.uniform(0, 1, (300, 2))
-        B = collocation_hierarchical(h, sites)
-        w = rng.uniform(0.2, 2.0, 300)
-        f = np.cos(2 * sites[:, 0]) * sites[:, 1] + 0.05 * rng.normal(size=300)
+        h, B, w, f = hierarchical_problem()
         return B, w, f, assemble_thin_plate(h)
 
     @pytest.mark.parametrize("case", ["instance", "hierarchical_instance"])
