@@ -17,7 +17,6 @@ import itertools
 from typing import Iterable, NamedTuple
 
 import numpy as np
-import scipy.ndimage
 import scipy.sparse
 
 from .spline_core import KnotVector, SplineSpace, _as_sites
@@ -79,6 +78,15 @@ def _window_all(mask: np.ndarray, los, his) -> np.ndarray:
     for lo, hi in zip(los[1:], his[1:]):
         volume = np.multiply.outer(volume, hi - lo)
     return total == volume
+
+
+def _dilate(mask: np.ndarray) -> np.ndarray:
+    """The True cells of ``mask`` plus every cell sharing a face, edge or corner with one."""
+    padded = np.pad(mask, 1)
+    out = np.zeros_like(mask)
+    for shift in itertools.product((0, 1, 2), repeat=mask.ndim):
+        out |= padded[tuple(slice(s, s + n) for s, n in zip(shift, mask.shape))]
+    return out
 
 
 class HierarchicalSpace:
@@ -205,10 +213,7 @@ class HierarchicalSpace:
                     )
                 mask[index] = True
             if buffer:
-                ring = scipy.ndimage.binary_dilation(
-                    mask, structure=np.ones((3,) * self.ndim, dtype=bool)
-                )
-                mask = ring & domains[lev]
+                mask = _dilate(mask) & domains[lev]
             if lev + 1 == len(levels):
                 levels.append(dyadic_refine_space(levels[lev]))
                 domains.append(

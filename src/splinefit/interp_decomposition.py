@@ -15,7 +15,6 @@ fitting goes through :mod:`splinefit.wls`.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -63,16 +62,33 @@ class SubsetCertificate:
 
 
 def enumerate_subsets(m: int, n: int, cap: int = SUBSET_CAP):
-    """All size-``n`` subsets of ``{0..m-1}`` in lexicographic order.
+    """All size-``n`` subsets of ``{0..m-1}`` in lexicographic order, as tuples.
 
     Raises :class:`SubsetCapError` when the count ``C(m, n)`` exceeds ``cap``.
+    """
+    return map(tuple, _subset_array(m, n, cap).tolist())
+
+
+def _subset_array(m: int, n: int, cap: int = SUBSET_CAP) -> np.ndarray:
+    """The subsets of :func:`enumerate_subsets` as a ``(C(m, n), n)`` index array.
+
+    Built column by column: each row is repeated once per admissible next
+    index, which runs from one past the row's last index up to ``m - n + j``
+    for column ``j``, so the rows stay in lexicographic order.
     """
     if not 1 <= n <= m:
         raise ValueError(f"need 1 <= n <= m, got n={n}, m={m}")
     total = math.comb(m, n)
     if total > cap:
         raise SubsetCapError(f"C({m}, {n}) = {total} exceeds the cap {cap}")
-    return itertools.combinations(range(m), n)
+    K = np.arange(m - n + 1, dtype=np.intp)[:, None]
+    for j in range(1, n):
+        last = K[:, -1]
+        counts = m - n + j - last
+        start = np.repeat(last + 1 - (np.cumsum(counts) - counts), counts)
+        K = np.repeat(K, counts, axis=0)
+        K = np.column_stack([K, start + np.arange(len(K))])
+    return K
 
 
 # Subsets go through the sweep in chunks whose minors take about this many
@@ -191,9 +207,7 @@ def decompose(space, cloud: WeightedPointCloud, cap: int = SUBSET_CAP) -> Decomp
     if n > m:
         raise ValueError(f"space dimension {n} exceeds the number of points {m}")
     B = collocation_matrix(space, cloud.sites)
-    subsets = np.fromiter(
-        itertools.chain.from_iterable(enumerate_subsets(m, n, cap)), dtype=np.intp
-    ).reshape(-1, n)
+    subsets = _subset_array(m, n, cap)
     step = max(1, _BATCH_BYTES // (8 * n * n))
     chunks = [_solve_subsets(B, cloud.weights, cloud.values, subsets[i : i + step])
               for i in range(0, len(subsets), step)]
@@ -243,8 +257,7 @@ def weight_limit_solution(space, cloud: WeightedPointCloud, subset, magnitude: f
         raise ValueError("subset indices must be distinct")
     weights = cloud.weights.copy()
     weights[subset] = magnitude
-    B = collocation_matrix(space, cloud.sites)
-    coeffs = solve_wls(B, weights, cloud.values)
+    coeffs = solve_wls(space.basis_matrix(cloud.sites), weights, cloud.values)
     return SplineFunction(space, coeffs)
 
 
@@ -279,7 +292,7 @@ def irls_solve(
     else:
         raise ValueError(f"unknown exponent mode {exponent_mode!r}")
 
-    B = collocation_matrix(space, cloud.sites)
+    B = space.basis_matrix(cloud.sites)
     f = cloud.values
     weights = np.ones(cloud.m)
     objective_trace = []

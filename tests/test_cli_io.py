@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import splinefit
 from splinefit import (
     CellId,
     HierarchicalSpace,
@@ -512,6 +517,24 @@ class TestParserReuse:
         )
         assert not {"eps", "levels", "mesh", "basis"} & plain.keys()
         assert cli_io._build_parser() is cli_io._build_parser()
+
+
+class TestStartup:
+    def test_import_loads_no_heavy_scipy_subpackage(self):
+        """Every CLI call pays the import: ndimage, special and interpolate stay out of it."""
+        script = (
+            "import sys\n"
+            "import splinefit, splinefit.cli_io\n"
+            "heavy = ('scipy.ndimage', 'scipy.special', 'scipy.interpolate')\n"
+            "print(' '.join(name for name in heavy if name in sys.modules))\n"
+        )
+        src = Path(splinefit.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stdout.strip() == ""
 
 
 class TestExitCodes:

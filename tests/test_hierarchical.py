@@ -4,6 +4,9 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.ndimage
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splinefit import (
     CellId,
@@ -18,6 +21,7 @@ from splinefit import (
     mark_cells,
     uniform_interior,
 )
+from splinefit.hierarchical import _dilate
 
 
 def grid_space(degree, cells, ndim=2, domain=(0.0, 1.0)):
@@ -93,6 +97,41 @@ class TestDyadicRefine:
         for j in range(space.dim):
             c, *_ = np.linalg.lstsq(Bf, Bc[:, j], rcond=None)
             assert np.abs(Bf @ c - Bc[:, j]).max() < 1e-10
+
+
+def ndimage_dilation(mask):
+    """Reference one-ring: scipy's binary dilation with the full 3^n structure."""
+    return scipy.ndimage.binary_dilation(mask, structure=np.ones((3,) * mask.ndim, dtype=bool))
+
+
+def single_cell_masks():
+    """One True cell at every corner, edge midpoint and the centre of 1-3 dimensional grids."""
+    for shape in [(1,), (5,), (1, 1), (4, 3), (5, 5), (3, 4, 2), (3, 3, 3)]:
+        for index in itertools.product(*[sorted({0, s // 2, s - 1}) for s in shape]):
+            mask = np.zeros(shape, dtype=bool)
+            mask[index] = True
+            yield pytest.param(mask, id=f"{shape}-{index}")
+
+
+class TestDilate:
+    @pytest.mark.parametrize("shape", [(1,), (6,), (1, 7), (4, 5), (2, 3, 4)])
+    @pytest.mark.parametrize("fill", [False, True])
+    def test_empty_and_full(self, shape, fill):
+        mask = np.full(shape, fill)
+        np.testing.assert_array_equal(_dilate(mask), ndimage_dilation(mask))
+
+    @pytest.mark.parametrize("mask", single_cell_masks())
+    def test_single_cells(self, mask):
+        np.testing.assert_array_equal(_dilate(mask), ndimage_dilation(mask))
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_random_masks_match_ndimage(self, data):
+        shape = tuple(data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=3), label="shape"))
+        size = int(np.prod(shape))
+        cells = data.draw(st.lists(st.booleans(), min_size=size, max_size=size), label="cells")
+        mask = np.array(cells, dtype=bool).reshape(shape)
+        np.testing.assert_array_equal(_dilate(mask), ndimage_dilation(mask))
 
 
 class TestBuildHierarchical:

@@ -111,6 +111,13 @@ class TestEnumerateSubsets:
     def test_full_subset(self):
         assert list(enumerate_subsets(4, 4)) == [(0, 1, 2, 3)]
 
+    @pytest.mark.parametrize("m, n", [(1, 1), (5, 1), (5, 5), (7, 3), (9, 8), (15, 6), (16, 9)])
+    def test_array_is_itertools_order(self, m, n):
+        K = idc._subset_array(m, n)
+        expected = np.array(list(itertools.combinations(range(m), n)), dtype=np.intp)
+        assert K.dtype == np.intp
+        np.testing.assert_array_equal(K, expected)
+
     def test_cap_guard(self):
         with pytest.raises(SubsetCapError):
             enumerate_subsets(40, 20)
@@ -511,6 +518,14 @@ class TestWeightLimit:
         c = solve_wls(B, seven_cloud.weights, seven_cloud.values)
         np.testing.assert_allclose(fn.coefficients, c, atol=1e-12)
 
+    def test_coefficients_equal_dense_input_bits(self, quad_spline_space, seven_cloud):
+        """The CSR basis matrix and the dense collocation matrix canonicalize alike."""
+        fn = weight_limit_solution(quad_spline_space, seven_cloud, [1, 4], 1e6)
+        weights = seven_cloud.weights.copy()
+        weights[[1, 4]] = 1e6
+        B = collocation_matrix(quad_spline_space, seven_cloud.sites)
+        assert np.array_equal(fn.coefficients, solve_wls(B, weights, seven_cloud.values))
+
     def test_single_point_limit_matches_bruteforce(self, quad_poly_space, seven_cloud):
         """Finite large magnitude approaches the reduced combination formula."""
         oracle = brute_force_limit(quad_poly_space, seven_cloud, [2])
@@ -537,6 +552,11 @@ class TestIrls:
         plain = solve_wls(B, np.ones(7), seven_cloud.values)
         np.testing.assert_allclose(fn.coefficients, plain, rtol=1e-9)
         assert len(trace) == 3
+
+    def test_first_iterate_equals_dense_input_bits(self, quad_spline_space, seven_cloud):
+        fn, _ = irls_solve(quad_spline_space, seven_cloud, 1.5, 1)
+        B = collocation_matrix(quad_spline_space, seven_cloud.sites)
+        assert np.array_equal(fn.coefficients, solve_wls(B, np.ones(7), seven_cloud.values))
 
     def test_objective_nonincreasing(self, quad_poly_space, seven_cloud):
         _, trace = irls_solve(quad_poly_space, seven_cloud, 1.5, 20)
