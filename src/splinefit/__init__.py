@@ -67,6 +67,7 @@ from .wls import (
     metrics,
     solve_penalized_wls,
     solve_wls,
+    weighted_solver,
 )
 
 __version__ = "0.1.0"
@@ -123,6 +124,7 @@ __all__ = [
     "uniform_interior",
     "update_weights",
     "weight_limit_solution",
+    "weighted_solver",
 ]
 
 from .cli_io import main  # noqa: E402  (CLI import last: it pulls in everything above)

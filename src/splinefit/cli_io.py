@@ -99,8 +99,79 @@ def _parse_header(fields, path):
     return n, d, has_w, has_marker
 
 
+# Every byte of a data row of plain decimal numbers is one of these.
+_PLAIN_BYTES = b"0123456789+-.eE ,\n"
+
+
 def read_point_cloud(path) -> WeightedPointCloud:
-    """Parse a point-cloud CSV; malformed rows raise with their line number."""
+    """Parse a point-cloud CSV; malformed rows raise with their line number.
+
+    The data rows are parsed in one numpy pass. A file with anything the
+    bulk pass does not vouch for (a quote, a comment or whitespace-only line
+    among the data, a character outside plain decimal numbers, a wrong field
+    count, a non-finite number, a non-positive weight, a marker other than
+    ``0``, ``1`` or ``2``) goes through the line-by-line reader instead,
+    which gives the same cloud or names the offending ``path:line``.
+    """
+    try:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError:
+        text = None
+    cloud = _read_bulk(text, path) if text is not None else None
+    return cloud if cloud is not None else _read_lines(path)
+
+
+def _read_bulk(text, path):
+    """The cloud in ``text`` (universal newlines) if every data row is plain, else None."""
+    if '"' in text or "\0" in text:
+        return None
+    lines = text.split("\n")
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+    h = next((i for i, line in enumerate(lines)
+              if line and not line.split(",", 1)[0].lstrip().startswith("#")), None)
+    if h is None:
+        return None
+    try:
+        n, d, has_w, has_marker = _parse_header([f.strip() for f in lines[h].split(",")], path)
+    except PointCloudFormatError:
+        return None
+    width = n + d + has_w + has_marker
+    rows = [line for line in lines[h + 1 :] if line]
+    if not rows or set(map(str.count, rows, itertools.repeat(","))) != {width - 1}:
+        return None
+    body = ",".join(rows)
+    try:
+        if body.encode("ascii").translate(None, _PLAIN_BYTES):
+            return None
+        fields = body.split(",")
+        table = np.array(fields, dtype=float).reshape(len(rows), width)
+    except (UnicodeEncodeError, ValueError):
+        return None
+    numbers = table[:, : n + d + has_w]
+    if not np.all(np.isfinite(numbers)) or (has_w and not np.all(numbers[:, -1] > 0)):
+        return None
+    if has_marker and not set(map(str.strip, fields[width - 1 :: width])) <= {"0", "1", "2"}:
+        return None
+    return _cloud(
+        path,
+        numbers[:, :n].copy(),
+        numbers[:, n : n + d].copy(),
+        numbers[:, -1].copy() if has_w else None,
+        table[:, -1].astype(int) if has_marker else None,
+    )
+
+
+def _cloud(path, sites, values, weights, markers) -> WeightedPointCloud:
+    try:
+        return WeightedPointCloud(sites, values, weights, markers)
+    except ValueError as exc:
+        raise PointCloudFormatError(f"{path}: {exc}") from None
+
+
+def _read_lines(path) -> WeightedPointCloud:
+    """The line-by-line reader: the one path that names a malformed ``path:line``."""
     sites, values, weights, markers = [], [], [], []
     header = None
     n = d = 0
@@ -144,15 +215,13 @@ def read_point_cloud(path) -> WeightedPointCloud:
                 markers.append(int(raw))
     if header is None or not sites:
         raise PointCloudFormatError(f"{path}:1: no data rows")
-    try:
-        return WeightedPointCloud(
-            np.asarray(sites),
-            np.asarray(values),
-            np.asarray(weights) if has_w else None,
-            np.asarray(markers, dtype=int) if has_marker else None,
-        )
-    except ValueError as exc:
-        raise PointCloudFormatError(f"{path}: {exc}") from None
+    return _cloud(
+        path,
+        np.asarray(sites),
+        np.asarray(values),
+        np.asarray(weights) if has_w else None,
+        np.asarray(markers, dtype=int) if has_marker else None,
+    )
 
 
 def write_point_cloud(path, cloud: WeightedPointCloud, weights: bool = True,

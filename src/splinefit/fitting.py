@@ -24,7 +24,7 @@ from .hierarchical import (
     mark_cells,
 )
 from .spline_core import SplineFunction, WeightedPointCloud
-from .wls import assemble_thin_plate, solve_penalized_wls, solve_wls
+from .wls import assemble_thin_plate, solve_penalized_wls, solve_wls, weighted_solver
 
 __all__ = [
     "FitConfig",
@@ -173,6 +173,7 @@ def rwls_fit(space, cloud: WeightedPointCloud, config: FitConfig) -> FitReport:
     """
     B = space.basis_matrix(cloud.sites)
     P = assemble_thin_plate(space) if config.lam > 0 else None
+    solve = weighted_solver(B, P, config.lam)
     w = cloud.weights.copy()
     f = cloud.values
     k1 = np.sort(cloud.type_one)
@@ -184,7 +185,7 @@ def rwls_fit(space, cloud: WeightedPointCloud, config: FitConfig) -> FitReport:
     coeffs = None
     termination = "max_iter"
     for iteration in range(1, config.max_iter + 1):
-        coeffs = solve_penalized_wls(B, w, f, P, config.lam)
+        coeffs = solve(w, f)
         e = np.linalg.norm(B @ coeffs - f, axis=1)
         records.append(_record(iteration, space.dim, e, k1, not_k2, k1.size, k2.size))
         if _max_over(e, k1) <= config.tol_i and records[-1].max_not_type_two <= config.tol_ii:

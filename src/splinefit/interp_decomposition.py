@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import NumericError, RankDeficiencyError, SubsetCapError
 from .spline_core import SplineFunction, WeightedPointCloud, collocation_matrix
-from .wls import solve_wls
+from .wls import solve_wls, weighted_solver
 
 __all__ = [
     "SubsetCertificate",
@@ -294,11 +294,12 @@ def irls_solve(
 
     B = space.basis_matrix(cloud.sites)
     f = cloud.values
+    solve = weighted_solver(B)
     weights = np.ones(cloud.m)
     objective_trace = []
     coeffs = None
     for _ in range(max_iter):
-        coeffs = solve_wls(B, weights, f)
+        coeffs = solve(weights, f)
         residual = B @ coeffs - f
         objective_trace.append(float(np.sum(np.abs(residual) ** p)))
         e = np.linalg.norm(residual, axis=1)

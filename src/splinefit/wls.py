@@ -6,10 +6,17 @@ work on its CSR form; neither densifies it. The unpenalized solver factors
 the triangle ``R``, shared across value components. The penalized solver
 forms its normal equations through the CSR Gram ``B^T W B``, where the
 energy matrix makes the orthogonal route unnatural.
+
+Reweighting loops solve on one ``B`` with ever new weights.
+:func:`weighted_solver` does the work that depends on ``B`` alone once (for
+the QR: the CSR copy, the column and row orders and the block layout) and
+returns a ``solve(weights, f)`` that pays only for the scaling and the sweep;
+:func:`solve_wls` and :func:`solve_penalized_wls` are one such solve.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -26,6 +33,7 @@ from .spline_core import SplineFunction, WeightedPointCloud, _as_sites
 __all__ = [
     "FitMetrics",
     "solve_wls",
+    "weighted_solver",
     "assemble_thin_plate",
     "solve_penalized_wls",
     "metrics",
@@ -41,16 +49,20 @@ RANK_RTOL = 1e-12
 _BLOCK = 16
 
 
-def _weighted_system(B, weights, f):
+def _weighted_system(m, weights, f):
     w = np.asarray(weights, dtype=float)
     if np.any(w <= 0):
         raise ValueError("weights must be strictly positive")
     f = np.asarray(f, dtype=float)
     squeeze = f.ndim == 1
     f2 = f[:, None] if squeeze else f
-    m = B.shape[0]
     if w.shape != (m,) or f2.shape[0] != m:
         raise ValueError("B, weights and f must agree on the number of rows")
+    for name, a in (("weight", w), ("value", f2)):
+        bad = ~np.isfinite(a)
+        if bad.any():
+            at = tuple(np.argwhere(bad)[0])
+            raise ValueError(f"{name}s must be finite, got {float(a[at])} in row {at[0]}")
     return w, f2, squeeze
 
 
@@ -61,6 +73,147 @@ def _finite(c, squeeze):
             "solution has non-finite coefficients (the weighted system overflows)"
         )
     return c[:, 0] if squeeze else c
+
+
+@dataclass(frozen=True)
+class _BandPlan:
+    """Weight-independent structure of the banded QR of one collocation matrix.
+
+    ``rows`` are the nonzero rows of ``B`` in sweep order, ``data`` their
+    nonzeros row after row and ``counts`` the nonzeros per row. Each block
+    is ``(j0, hi, r0, r1, p0, p1, scatter)``: it folds rows ``r0:r1`` (the
+    nonzeros ``p0:p1``) into the window ``j0:hi`` of ``R``, and ``scatter``
+    places each nonzero in the column-major ``(r1 - r0, hi - j0 + k)`` block
+    of new rows, whatever the number ``k`` of value components.
+    """
+
+    shape: tuple[int, int]
+    pos: np.ndarray
+    rows: np.ndarray
+    data: np.ndarray
+    counts: np.ndarray
+    blocks: tuple
+
+
+def _band_plan(B) -> _BandPlan:
+    """Column order, row order and block layout of the banded QR of ``B``."""
+    A = scipy.sparse.csr_matrix(B, dtype=float, copy=True)
+    m, n = A.shape
+    A.sum_duplicates()
+    A.eliminate_zeros()
+    counts = np.diff(A.indptr)
+    rows = np.flatnonzero(counts)
+    if rows.size < n:
+        raise RankDeficiencyError(
+            f"underdetermined system: {n} unknowns, {rows.size} nonzero rows"
+        )
+
+    # Column order: by the first row, in order of first column, touching it.
+    rank_of = np.empty(m, dtype=np.intp)
+    rank_of[rows[np.argsort(A.indices[A.indptr[rows]], kind="stable")]] = np.arange(rows.size)
+    touch = np.full(n, m, dtype=np.intp)
+    np.minimum.at(touch, A.indices, np.repeat(rank_of, counts))
+    pos = np.empty(n, dtype=np.intp)
+    pos[np.argsort(touch, kind="stable")] = np.arange(n)
+
+    # Rows with a nonzero, sorted by their first column in that order.
+    cols = pos[A.indices]
+    first = np.minimum.reduceat(cols, A.indptr[rows])
+    order = np.argsort(first, kind="stable")
+    rows, first = rows[order], first[order]
+    A = scipy.sparse.csr_matrix((A.data, cols, A.indptr), shape=(m, n))[rows]
+    counts = np.diff(A.indptr)
+    row_of = np.repeat(np.arange(rows.size), counts)
+    reach = np.maximum.accumulate(np.maximum.reduceat(A.indices, A.indptr[:-1])) + 1
+
+    blocks = []
+    edges = np.searchsorted(first, np.arange(0, n + _BLOCK, _BLOCK))
+    for j0, r0, r1 in zip(range(0, n, _BLOCK), edges[:-1], edges[1:]):
+        if r0 == r1:
+            continue
+        hi = max(min(j0 + _BLOCK, n), reach[r1 - 1])
+        p0, p1 = A.indptr[r0], A.indptr[r1]
+        scatter = row_of[p0:p1] - r0 + (A.indices[p0:p1] - j0) * (r1 - r0)
+        blocks.append((j0, hi, r0, r1, p0, p1, scatter))
+    return _BandPlan((m, n), pos, rows, A.data, counts, tuple(blocks))
+
+
+def _band_sweep(plan: _BandPlan, weights, f) -> np.ndarray:
+    """Coefficients of the weighted problem whose structure ``plan`` holds."""
+    m, n = plan.shape
+    w, f2, squeeze = _weighted_system(m, weights, f)
+    sqrt_w = np.sqrt(w[plan.rows])
+    vals = plan.data * np.repeat(sqrt_w, plan.counts)
+    rhs = f2[plan.rows] * sqrt_w[:, None]
+
+    k = rhs.shape[1]
+    R = np.zeros((n, n), order="F")
+    G = np.zeros((n, k))
+    for j0, hi, r0, r1, p0, p1, scatter in plan.blocks:
+        width = hi - j0
+        top = np.zeros((width + k, width + k), order="F")
+        top[:width, :width] = R[j0:hi, j0:hi]
+        top[:width, width:] = G[j0:hi]
+        new = np.zeros((r1 - r0) * (width + k))
+        new[scatter] = vals[p0:p1]
+        new = new.reshape((r1 - r0, width + k), order="F")
+        new[:, width:] = rhs[r0:r1]
+        top = _tpqrt(0, min(_BLOCK, width + k), top, new, overwrite_a=1, overwrite_b=1)[0]
+        R[j0:hi, j0:hi] = top[:width, :width]
+        G[j0:hi] = top[:width, width:]
+
+    diag = np.abs(np.diagonal(R))
+    if not np.all(np.isfinite(diag)):
+        raise NumericError("triangular factor is not finite (the weighted system overflows)")
+    rank = np.count_nonzero(diag > RANK_RTOL * diag.max())
+    if rank < n:
+        raise RankDeficiencyError(f"collocation matrix has numerical rank {rank} < {n}")
+    c = scipy.linalg.solve_triangular(R, G, check_finite=False)
+    return _finite(c[plan.pos], squeeze)
+
+
+def weighted_solver(B, P=None, lam: float = 0.0):
+    """``solve(weights, f)`` for the weighted problems on one collocation matrix.
+
+    ``solve(weights, f)`` returns what :func:`solve_penalized_wls` returns
+    for ``(B, weights, f, P, lam)``, bit for bit, and raises what it raises.
+    The work that depends on ``B`` alone is done here, once, so a loop that
+    reweights one matrix pays per solve only for what the weights change.
+
+    At ``lam = 0`` (``P`` ignored, may be ``None``) this plans the banded QR
+    of :func:`solve_wls`: the canonical CSR copy, the column and row orders
+    and the block layout, with its row and column scatter indices. An
+    underdetermined ``B`` raises :class:`RankDeficiencyError` here. Each
+    solve then validates its input, scales the rows by ``sqrt(w)`` and runs
+    the sweep, the rank test and the triangular solve. At ``lam > 0`` only
+    the CSR form of ``B`` and ``lam * P`` are formed here; each solve forms
+    and factors its own normal equations.
+    """
+    if lam < 0:
+        raise ValueError("penalty weight must be non-negative")
+    if lam == 0:
+        return functools.partial(_band_sweep, _band_plan(B))
+    B = scipy.sparse.csr_matrix(B)
+    lam_P = lam * np.asarray(P)
+
+    def solve(weights, f):
+        w, f2, squeeze = _weighted_system(B.shape[0], weights, f)
+        rhs = B.T @ (f2 * w[:, None])
+        # In place where the arithmetic allows, so that no more n x n arrays
+        # are alive at once than P, lam * P and two for A.
+        A = (B.T @ B.multiply(w[:, None])).toarray()
+        A *= 0.5
+        A += lam_P
+        A = A + A.T
+        A *= 0.5
+        try:
+            factor = scipy.linalg.cho_factor(A, check_finite=False)
+            c = scipy.linalg.cho_solve(factor, 0.5 * rhs, check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError(f"penalized normal system is singular: {exc}") from exc
+        return _finite(c, squeeze)
+
+    return solve
 
 
 def solve_wls(B, weights, f) -> np.ndarray:
@@ -80,71 +233,15 @@ def solve_wls(B, weights, f) -> np.ndarray:
     rows, with all value components as extra columns, are folded into the
     trailing window of ``R`` by one triangular-pentagonal QR, after which
     the block's rows of ``R`` are final. One triangular solve finishes.
+    ``weighted_solver(B)`` plans this once for many weight vectors.
 
-    Raises :class:`RankDeficiencyError` when some ``|R_jj|`` is at most
-    ``RANK_RTOL`` times the largest and :class:`NumericError` when the
-    factor or a coefficient is not finite.
+    Raises :class:`ValueError` when a weight is not positive or a weight or
+    value is not finite, :class:`RankDeficiencyError` when ``B`` has fewer
+    nonzero rows than columns or some ``|R_jj|`` is at most ``RANK_RTOL``
+    times the largest, and :class:`NumericError` when the factor or a
+    coefficient is not finite.
     """
-    A = scipy.sparse.csr_matrix(B, dtype=float, copy=True)
-    m, n = A.shape
-    w, f2, squeeze = _weighted_system(A, weights, f)
-    A.sum_duplicates()
-    A.eliminate_zeros()
-    counts = np.diff(A.indptr)
-    rows = np.flatnonzero(counts)
-    if rows.size < n:
-        raise RankDeficiencyError(
-            f"underdetermined system: {n} unknowns, {rows.size} nonzero rows"
-        )
-
-    # Column order: by the first row, in order of first column, touching it.
-    rank_of = np.empty(m, dtype=np.intp)
-    rank_of[rows[np.argsort(A.indices[A.indptr[rows]], kind="stable")]] = np.arange(rows.size)
-    touch = np.full(n, m, dtype=np.intp)
-    np.minimum.at(touch, A.indices, np.repeat(rank_of, counts))
-    pos = np.empty(n, dtype=np.intp)
-    pos[np.argsort(touch, kind="stable")] = np.arange(n)
-
-    # Rows with a nonzero, scaled and sorted by their first column in that order.
-    cols = pos[A.indices]
-    first = np.minimum.reduceat(cols, A.indptr[rows])
-    order = np.argsort(first, kind="stable")
-    rows, first = rows[order], first[order]
-    sqrt_w = np.sqrt(w[rows])
-    A = scipy.sparse.csr_matrix((A.data, cols, A.indptr), shape=(m, n))[rows]
-    vals = A.data * np.repeat(sqrt_w, np.diff(A.indptr))
-    row_of = np.repeat(np.arange(rows.size), np.diff(A.indptr))
-    rhs = f2[rows] * sqrt_w[:, None]
-    reach = np.maximum.accumulate(np.maximum.reduceat(A.indices, A.indptr[:-1])) + 1
-
-    k = rhs.shape[1]
-    R = np.zeros((n, n), order="F")
-    G = np.zeros((n, k))
-    edges = np.searchsorted(first, np.arange(0, n + _BLOCK, _BLOCK))
-    for j0, r0, r1 in zip(range(0, n, _BLOCK), edges[:-1], edges[1:]):
-        if r0 == r1:
-            continue
-        hi = max(min(j0 + _BLOCK, n), reach[r1 - 1])
-        width = hi - j0
-        top = np.zeros((width + k, width + k), order="F")
-        top[:width, :width] = R[j0:hi, j0:hi]
-        top[:width, width:] = G[j0:hi]
-        new = np.zeros((r1 - r0, width + k), order="F")
-        p0, p1 = A.indptr[r0], A.indptr[r1]
-        new[row_of[p0:p1] - r0, A.indices[p0:p1] - j0] = vals[p0:p1]
-        new[:, width:] = rhs[r0:r1]
-        top = _tpqrt(0, min(_BLOCK, width + k), top, new, overwrite_a=1, overwrite_b=1)[0]
-        R[j0:hi, j0:hi] = top[:width, :width]
-        G[j0:hi] = top[:width, width:]
-
-    diag = np.abs(np.diagonal(R))
-    if not np.all(np.isfinite(diag)):
-        raise NumericError("triangular factor is not finite (the weighted system overflows)")
-    rank = np.count_nonzero(diag > RANK_RTOL * diag.max())
-    if rank < n:
-        raise RankDeficiencyError(f"collocation matrix has numerical rank {rank} < {n}")
-    c = scipy.linalg.solve_triangular(R, G, check_finite=False)
-    return _finite(c[pos], squeeze)
+    return weighted_solver(B)(weights, f)
 
 
 def _second_order_multi_indices(ndim):
@@ -253,25 +350,10 @@ def solve_penalized_wls(B, weights, f, P, lam: float) -> np.ndarray:
     coefficients. ``lam = 0`` is :func:`solve_wls` and ignores ``P``, which
     may then be ``None``. Raises :class:`SingularSystemError` when the
     regularized normal matrix cannot be factorized and :class:`NumericError`
-    when a coefficient is not finite.
+    when a coefficient is not finite. ``weighted_solver(B, P, lam)`` sets up
+    once for many weight vectors.
     """
-    if lam < 0:
-        raise ValueError("penalty weight must be non-negative")
-    if lam == 0:
-        return solve_wls(B, weights, f)
-
-    w, f2, squeeze = _weighted_system(B, weights, f)
-    B = scipy.sparse.csr_matrix(B)
-    gram = (B.T @ B.multiply(w[:, None])).toarray()
-    rhs = B.T @ (f2 * w[:, None])
-    A = 0.5 * gram + lam * np.asarray(P)
-    A = 0.5 * (A + A.T)
-    try:
-        factor = scipy.linalg.cho_factor(A, check_finite=False)
-        c = scipy.linalg.cho_solve(factor, 0.5 * rhs, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"penalized normal system is singular: {exc}") from exc
-    return _finite(c, squeeze)
+    return weighted_solver(B, P, lam)(weights, f)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import splinefit
 from splinefit import (
@@ -28,6 +30,8 @@ from splinefit import (
     uniform_interior,
 )
 from splinefit.cli_io import (
+    _read_bulk,
+    _read_lines,
     _write_mesh_dump,
     main,
     read_model,
@@ -121,6 +125,122 @@ class TestPointCloudFormat:
         assert rc == 3
         assert "nan.csv:9" in capsys.readouterr().err
         assert not model.exists()
+
+
+def _outcome(read, path):
+    """What ``read(path)`` gives: the cloud's arrays, or the exception's type and message."""
+    try:
+        cloud = read(path)
+    except Exception as exc:  # noqa: BLE001 - the comparison covers every outcome
+        return type(exc), str(exc)
+    return [(a.dtype, a.shape, a.tobytes())
+            for a in (cloud.sites, cloud.values, cloud.weights, cloud.markers)]
+
+
+# Fields that break a row in every way the line reader checks, and some it forgives.
+_ODD_MARKERS = ["3", "-1", "1.0", "01", "+1", " 2 ", "1e0", "", "x"]
+_ODD_FIELDS = _ODD_MARKERS + [" ", "nan", "inf", "-inf", "1e999", "0", "0.0", "-0", " 1",
+                              "1 ", "1e", ".", "1.2.3", "1_0", "\u0661", '"1"', '"', "1#x",
+                              "#", "\t2", "1\x00", "1e-400"]
+_HEADERS = ["x1,f1", "x1,f1,w", "x1,f1,marker", "x1,x2,f1,f2,w,marker", " x1 , f1 ,w",
+            "x1,f1,w,marker", "x1,x2,x3,f1", "x1,f1,f2,marker", "x2,f1", "x1,f1,q"]
+_EXTRA_LINES = ["", "   ", "# note", "  # indented, note", '# a, "quoted', '"#", quoted', '#,"open']
+_NUMBERS = st.builds(lambda fmt, v: fmt % v, st.sampled_from(["%.17g", "%r", "%.3e", "%g"]),
+                     st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _csv_texts(draw):
+    """A point-cloud CSV with at most one flaw: an odd field or last field, a field too many
+    or too few, or an extra line."""
+    header = draw(st.sampled_from(_HEADERS))
+    names = [f.strip() for f in header.split(",")]
+    fields = {"marker": st.sampled_from(["0", "1", "2"]),
+              "w": st.floats(1e-300, 1e300).map(repr)}
+    rows = [[draw(fields.get(name, _NUMBERS)) for name in names]
+            for _ in range(draw(st.integers(0, 6)))]
+    flaw = draw(st.sampled_from(["none", "field", "marker", "count", "line"]))
+    if flaw in ("field", "marker", "count") and rows:
+        row = draw(st.sampled_from(rows))
+        if flaw == "field":
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(_ODD_FIELDS))
+        elif flaw == "marker":
+            row[-1] = draw(st.sampled_from(_ODD_MARKERS))
+        else:
+            row[:] = row[:-1] if draw(st.booleans()) else row + ["0"]
+    lines = [header] + [",".join(row) for row in rows]
+    if flaw == "line":
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_EXTRA_LINES)))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline, newline * 2]))
+
+
+class TestBulkPointCloudReader:
+    @settings(max_examples=150)
+    @given(text=_csv_texts())
+    def test_bulk_reader_agrees_with_line_reader(self, text, tmp_path_factory):
+        """The bulk pass vouches only for files the line reader reads the same."""
+        path = tmp_path_factory.mktemp("fuzz") / "cloud.csv"
+        path.write_bytes(text.encode("utf-8"))
+        expected = _outcome(_read_lines, path)
+        assert _outcome(read_point_cloud, path) == expected
+        with open(path, encoding="utf-8") as handle:
+            bulk = _read_bulk(handle.read(), path)
+        if bulk is not None:
+            assert _outcome(lambda _: bulk, path) == expected
+
+    def test_every_odd_field_in_every_column(self, tmp_path):
+        path = tmp_path / "cloud.csv"
+        for column in range(4):
+            for field in _ODD_FIELDS:
+                rows = [["0.5", "-1.25", "2.0", "1"], ["0.75", "3.5", "0.5", "0"]]
+                rows[1][column] = field
+                path.write_text("x1,f1,w,marker\n" + "\n".join(map(",".join, rows)) + "\n")
+                expected = _outcome(_read_lines, path)
+                assert _outcome(read_point_cloud, path) == expected, (column, field)
+                bulk = _read_bulk(path.read_text(), path)
+                assert bulk is None or _outcome(lambda _: bulk, path) == expected, (column, field)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_plain_files_take_the_bulk_path(self, tmp_path, newline, monkeypatch):
+        rng = np.random.default_rng(5)
+        cloud = WeightedPointCloud(rng.normal(size=(40, 2)), rng.normal(size=(40, 3)),
+                                   rng.uniform(0.1, 9.0, 40), rng.integers(0, 3, 40))
+        path = tmp_path / "cloud.csv"
+        write_point_cloud(path, cloud)
+        lines = path.read_text().splitlines()
+        text = newline.join(["# leading comment", "", lines[0]] + lines[1:] + [""])
+        path.write_bytes(text.replace(",", " , ").encode())
+        expected = _outcome(_read_lines, path)
+
+        def refuse(path):
+            raise AssertionError("line reader called")
+
+        monkeypatch.setattr(splinefit.cli_io, "_read_lines", refuse)
+        assert _outcome(read_point_cloud, path) == expected
+        back = read_point_cloud(path)
+        np.testing.assert_array_equal(back.values, cloud.values)
+        np.testing.assert_array_equal(back.markers, cloud.markers)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("0.5,1.0#x", "bad.csv:3: could not convert"),
+            ("0.5,1e999", "bad.csv:3: non-finite number '1e999'"),
+            ('0.5,"1.0"', None),
+            ("# 0.5,1.0", None),
+        ],
+    )
+    def test_anomalies_go_through_the_line_reader(self, tmp_path, row, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x1,f1\n0.0,2.0\n{row}\n")
+        with open(path, encoding="utf-8") as handle:
+            assert _read_bulk(handle.read(), path) is None
+        if message is None:
+            assert _outcome(read_point_cloud, path) == _outcome(_read_lines, path)
+        else:
+            with pytest.raises(PointCloudFormatError, match=message):
+                read_point_cloud(path)
 
 
 class TestModelFormat:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import splinefit.wls
 from splinefit import (
     FitConfig,
     SplineSpace,
@@ -164,6 +165,23 @@ class TestRwlsFit:
         assert marker_max[-1] <= 1e-5
         assert marker_max[-1] < marker_max[0]
 
+
+    def test_collocation_is_planned_once_per_fit(
+        self, quad_spline_space, seven_sites, seven_values, monkeypatch
+    ):
+        """Every reweighting solve of one fit reuses the plan of its one matrix."""
+        plans = []
+        plan = splinefit.wls._band_plan
+        monkeypatch.setattr(splinefit.wls, "_band_plan", lambda B: plans.append(B) or plan(B))
+        markers = np.zeros(7, dtype=int)
+        markers[[3, 4]] = 1
+        cloud = WeightedPointCloud(seven_sites, seven_values, markers=markers)
+        config = FitConfig(tol_i=1e-8, tol_ii=float("inf"), max_iter=20)
+        report = rwls_fit(quad_spline_space, cloud, config)
+        assert report.iterations > 5
+        assert len(plans) == 1
+        monkeypatch.undo()
+        assert rwls_fit(quad_spline_space, cloud, config).records == report.records
 
 class TestInitMarkers:
     def test_exactly_representable_data_gives_empty_set(self, quad_spline_space):

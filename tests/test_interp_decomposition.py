@@ -558,6 +558,13 @@ class TestIrls:
         B = collocation_matrix(quad_spline_space, seven_cloud.sites)
         assert np.array_equal(fn.coefficients, solve_wls(B, np.ones(7), seven_cloud.values))
 
+    def test_collocation_is_planned_once(self, quad_spline_space, seven_cloud, monkeypatch):
+        plans = []
+        plan = splinefit.wls._band_plan
+        monkeypatch.setattr(splinefit.wls, "_band_plan", lambda B: plans.append(B) or plan(B))
+        _, trace = irls_solve(quad_spline_space, seven_cloud, 1.5, 6)
+        assert len(trace) == 6 and len(plans) == 1
+
     def test_objective_nonincreasing(self, quad_poly_space, seven_cloud):
         _, trace = irls_solve(quad_poly_space, seven_cloud, 1.5, 20)
         assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))

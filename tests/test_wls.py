@@ -31,6 +31,7 @@ from splinefit import (
     solve_penalized_wls,
     solve_wls,
     uniform_interior,
+    weighted_solver,
 )
 from splinefit.wls import RANK_RTOL
 
@@ -73,14 +74,18 @@ def curve_problem(columns=1, spread=10.0):
     return kv, sites, SplineSpace(kv).basis_matrix(sites), w, F[:, 0] if columns == 1 else F
 
 
-def tensor_problem():
-    rng = np.random.default_rng(43)
-    space = SplineSpace(
+def tensor_space():
+    return SplineSpace(
         [
             make_open_knot_vector((0.0, 1.0), 2, uniform_interior((0.0, 1.0), 4)),
             make_open_knot_vector((-1.0, 1.0), 3, uniform_interior((-1.0, 1.0), 3)),
         ]
     )
+
+
+def tensor_problem():
+    rng = np.random.default_rng(43)
+    space = tensor_space()
     sites = np.column_stack([rng.uniform(0, 1, 400), rng.uniform(-1, 1, 400)])
     f = np.exp(sites[:, 0]) * np.sin(2 * sites[:, 1])
     return space.basis_matrix(sites), rng.uniform(0.1, 3.0, 400), f
@@ -424,6 +429,110 @@ class TestSolvePenalizedWls:
                 solve_wls(B, w, f)
             with pytest.raises(NumericError, match="non-finite"):
                 solve_penalized_wls(B, w, f, P, 1e-6)
+
+
+def curve_case(columns=1):
+    kv, _, B, w, f = curve_problem(columns)
+    return SplineSpace(kv), B, w, f
+
+
+# Each case with the space whose thin-plate energy penalizes it.
+REUSE_CASES = {
+    "cubic-double-knot": curve_case,
+    "tensor-2d": lambda: (tensor_space(), *tensor_problem()),
+    "hierarchical-2-level": hierarchical_problem,
+    "three-columns": lambda: curve_case(columns=3),
+}
+
+
+class TestWeightedSolver:
+    @pytest.mark.parametrize("lam", [0.0, 1e-5])
+    @pytest.mark.parametrize("case", sorted(REUSE_CASES))
+    def test_reused_solver_matches_fresh_solves_bit_for_bit(self, case, lam):
+        space, B, w, f = REUSE_CASES[case]()
+        P = assemble_thin_plate(space) if lam > 0 else None
+        solve = weighted_solver(B, P, lam)
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            w = w * rng.uniform(0.5, 2.0, w.size)
+            fresh = solve_penalized_wls(B, w, f, P, lam) if lam > 0 else solve_wls(B, w, f)
+            c = solve(w, f)
+            assert c.shape == fresh.shape
+            assert c.tobytes() == fresh.tobytes()
+
+    def test_rank_and_overflow_raise_on_every_call(self):
+        rank_deficient = weighted_solver(np.ones((5, 2)))
+        for _ in range(2):
+            with pytest.raises(RankDeficiencyError, match="numerical rank 1 < 2"):
+                rank_deficient(np.ones(5), np.arange(5.0))
+
+        space = SplineSpace(make_open_knot_vector((0.0, 1.0), 2, [0.5]))
+        B = space.basis_matrix(np.linspace(0.0, 1.0, 12))
+        solve = weighted_solver(B)
+        f = np.cos(np.arange(12.0))
+        before = solve(np.ones(12), f)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(2):
+                with pytest.raises(NumericError, match="non-finite|not finite"):
+                    solve(np.full(12, 4.0), np.full(12, 1e308))
+        assert solve(np.ones(12), f).tobytes() == before.tobytes()
+
+    def test_underdetermined_matrix_is_refused_at_set_up(self):
+        with pytest.raises(RankDeficiencyError, match="underdetermined"):
+            weighted_solver(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-5])
+    @pytest.mark.parametrize(
+        "where, bad, message",
+        [
+            ("w", np.nan, "weights must be finite, got nan in row 3"),
+            ("w", np.inf, "weights must be finite, got inf in row 3"),
+            ("f", np.nan, "values must be finite, got nan in row 3"),
+            ("f", -np.inf, "values must be finite, got -inf in row 3"),
+        ],
+    )
+    def test_non_finite_input_is_a_value_error(self, where, bad, message, lam):
+        space = SplineSpace(make_open_knot_vector((0.0, 1.0), 2, [0.5]))
+        B = space.basis_matrix(np.linspace(0.0, 1.0, 12))
+        data = {"w": np.ones(12), "f": np.sin(np.arange(12.0))}
+        data[where][3] = bad
+        solve = weighted_solver(B, assemble_thin_plate(space), lam)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                solve(data["w"], data["f"])
+        with pytest.raises(ValueError, match=message):
+            solve_penalized_wls(B, data["w"], data["f"], assemble_thin_plate(space), lam)
+
+    def test_non_finite_value_in_a_later_column_names_its_row(self):
+        B = SplineSpace(make_open_knot_vector((0.0, 1.0), 1, [])).basis_matrix(
+            np.linspace(0.0, 1.0, 6))
+        F = np.ones((6, 3))
+        F[4, 2] = np.nan
+        with pytest.raises(ValueError, match="values must be finite, got nan in row 4"):
+            solve_wls(B, np.ones(6), F)
+
+    def test_reused_rank_guard_runs_under_python_O(self):
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from splinefit import RankDeficiencyError, weighted_solver\n"
+            "assert False, 'asserts are live'\n"
+            "solve = weighted_solver(np.ones((5, 2)))\n"
+            "raised = 0\n"
+            "for _ in range(2):\n"
+            "    try:\n"
+            "        solve(np.ones(5), np.arange(5.0))\n"
+            "    except RankDeficiencyError:\n"
+            "        raised += 1\n"
+            "print('raised', raised)\n"
+        )
+        src = Path(splinefit.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "raised 2" in proc.stdout
 
 
 class TestMetrics:
