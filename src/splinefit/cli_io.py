@@ -102,16 +102,23 @@ def _parse_header(fields, path):
 # Every byte of a data row of plain decimal numbers is one of these.
 _PLAIN_BYTES = b"0123456789+-.eE ,\n"
 
+# The bulk pass converts this many data rows at a time. Converting a whole
+# file at once keeps one str per field alive together (about 1.5 MB for a
+# 5000-row surface cloud), which raised the peak memory of a whole
+# surface-adaptive fit by about 1%; chunks of 512 rows read as fast.
+_BULK_ROWS = 512
+
 
 def read_point_cloud(path) -> WeightedPointCloud:
     """Parse a point-cloud CSV; malformed rows raise with their line number.
 
-    The data rows are parsed in one numpy pass. A file with anything the
-    bulk pass does not vouch for (a quote, a comment or whitespace-only line
-    among the data, a character outside plain decimal numbers, a wrong field
-    count, a non-finite number, a non-positive weight, a marker other than
-    ``0``, ``1`` or ``2``) goes through the line-by-line reader instead,
-    which gives the same cloud or names the offending ``path:line``.
+    The data rows are converted by numpy, ``_BULK_ROWS`` at a time. A file
+    with anything the bulk pass does not vouch for (a quote, a comment or
+    whitespace-only line among the data, a character outside plain decimal
+    numbers, a wrong field count, a non-finite number, a non-positive
+    weight, a marker other than ``0``, ``1`` or ``2``) goes through the
+    line-by-line reader instead, which gives the same cloud or names the
+    offending ``path:line``.
     """
     try:
         with open(path, encoding="utf-8") as handle:
@@ -141,18 +148,20 @@ def _read_bulk(text, path):
     rows = [line for line in lines[h + 1 :] if line]
     if not rows or set(map(str.count, rows, itertools.repeat(","))) != {width - 1}:
         return None
-    body = ",".join(rows)
-    try:
-        if body.encode("ascii").translate(None, _PLAIN_BYTES):
+    table = np.empty((len(rows), width))
+    for i in range(0, len(rows), _BULK_ROWS):
+        body = ",".join(rows[i : i + _BULK_ROWS])
+        try:
+            if body.encode("ascii").translate(None, _PLAIN_BYTES):
+                return None
+            fields = body.split(",")
+            table[i : i + _BULK_ROWS] = np.array(fields, dtype=float).reshape(-1, width)
+        except (UnicodeEncodeError, ValueError):
             return None
-        fields = body.split(",")
-        table = np.array(fields, dtype=float).reshape(len(rows), width)
-    except (UnicodeEncodeError, ValueError):
-        return None
+        if has_marker and not set(map(str.strip, fields[width - 1 :: width])) <= {"0", "1", "2"}:
+            return None
     numbers = table[:, : n + d + has_w]
     if not np.all(np.isfinite(numbers)) or (has_w and not np.all(numbers[:, -1] > 0)):
-        return None
-    if has_marker and not set(map(str.strip, fields[width - 1 :: width])) <= {"0", "1", "2"}:
         return None
     return _cloud(
         path,

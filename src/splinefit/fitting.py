@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StagnationError
+from .errors import NumericError, StagnationError
 from .hierarchical import (
     HierarchicalSpace,
     collocation_hierarchical,
@@ -123,6 +123,8 @@ def update_weights(errors, weights, type_one, type_two, mode: str = "error_drive
     shrink (``1 / (1 + e)``, ``1 / rho`` or the IRLS rule
     ``1 / max(delta, e)``). In IRLS mode type I markers keep the
     error-driven growth, since the IRLS rule only describes down-weighting.
+    Raises :class:`NumericError` when an updated weight overflows to
+    infinity or underflows to zero.
     """
     if mode not in _ALPHA_MODES:
         raise ValueError(f"unknown weight update mode {mode!r}")
@@ -130,15 +132,22 @@ def update_weights(errors, weights, type_one, type_two, mode: str = "error_drive
     w = np.asarray(weights, dtype=float).copy()
     one = np.asarray(type_one, dtype=int)
     two = np.asarray(type_two, dtype=int)
-    if mode == "fixed_factor":
-        w[one] *= rho
-        w[two] /= rho
-    elif mode == "irls":
-        w[one] *= 1.0 + e[one]
-        w[two] /= np.maximum(delta, e[two])
-    else:
-        w[one] *= 1.0 + e[one]
-        w[two] /= 1.0 + e[two]
+    with np.errstate(over="ignore"):
+        if mode == "fixed_factor":
+            w[one] *= rho
+            w[two] /= rho
+        elif mode == "irls":
+            w[one] *= 1.0 + e[one]
+            w[two] /= np.maximum(delta, e[two])
+        else:
+            w[one] *= 1.0 + e[one]
+            w[two] /= 1.0 + e[two]
+    bad = ~(np.isfinite(w) & (w > 0))
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise NumericError(
+            f"weight update leaves the floating-point range: weight of point {i} is {w[i]}"
+        )
     return w
 
 

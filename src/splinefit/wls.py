@@ -186,26 +186,21 @@ def weighted_solver(B, P=None, lam: float = 0.0):
     underdetermined ``B`` raises :class:`RankDeficiencyError` here. Each
     solve then validates its input, scales the rows by ``sqrt(w)`` and runs
     the sweep, the rank test and the triangular solve. At ``lam > 0`` only
-    the CSR form of ``B`` and ``lam * P`` are formed here; each solve forms
-    and factors its own normal equations.
+    the CSR form of ``B`` is formed here; each solve forms and factors its
+    own normal equations.
     """
     if lam < 0:
         raise ValueError("penalty weight must be non-negative")
     if lam == 0:
         return functools.partial(_band_sweep, _band_plan(B))
     B = scipy.sparse.csr_matrix(B)
-    lam_P = lam * np.asarray(P)
 
     def solve(weights, f):
         w, f2, squeeze = _weighted_system(B.shape[0], weights, f)
+        gram = (B.T @ B.multiply(w[:, None])).toarray()
         rhs = B.T @ (f2 * w[:, None])
-        # In place where the arithmetic allows, so that no more n x n arrays
-        # are alive at once than P, lam * P and two for A.
-        A = (B.T @ B.multiply(w[:, None])).toarray()
-        A *= 0.5
-        A += lam_P
-        A = A + A.T
-        A *= 0.5
+        A = 0.5 * gram + lam * np.asarray(P)
+        A = 0.5 * (A + A.T)
         try:
             factor = scipy.linalg.cho_factor(A, check_finite=False)
             c = scipy.linalg.cho_solve(factor, 0.5 * rhs, check_finite=False)

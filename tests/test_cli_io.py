@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -177,19 +178,23 @@ def _csv_texts(draw):
 
 class TestBulkPointCloudReader:
     @settings(max_examples=150)
-    @given(text=_csv_texts())
-    def test_bulk_reader_agrees_with_line_reader(self, text, tmp_path_factory):
-        """The bulk pass vouches only for files the line reader reads the same."""
+    @given(text=_csv_texts(), chunk=st.integers(1, 7))
+    def test_bulk_reader_agrees_with_line_reader(self, text, chunk, tmp_path_factory):
+        """The bulk pass vouches only for files the line reader reads the same,
+        wherever its chunks of rows begin."""
         path = tmp_path_factory.mktemp("fuzz") / "cloud.csv"
         path.write_bytes(text.encode("utf-8"))
         expected = _outcome(_read_lines, path)
-        assert _outcome(read_point_cloud, path) == expected
-        with open(path, encoding="utf-8") as handle:
-            bulk = _read_bulk(handle.read(), path)
+        with mock.patch.object(splinefit.cli_io, "_BULK_ROWS", chunk):
+            assert _outcome(read_point_cloud, path) == expected
+            with open(path, encoding="utf-8") as handle:
+                bulk = _read_bulk(handle.read(), path)
         if bulk is not None:
             assert _outcome(lambda _: bulk, path) == expected
 
-    def test_every_odd_field_in_every_column(self, tmp_path):
+    @pytest.mark.parametrize("chunk", [1, 2], ids=["second-chunk", "one-chunk"])
+    def test_every_odd_field_in_every_column(self, tmp_path, chunk, monkeypatch):
+        monkeypatch.setattr(splinefit.cli_io, "_BULK_ROWS", chunk)
         path = tmp_path / "cloud.csv"
         for column in range(4):
             for field in _ODD_FIELDS:
@@ -201,11 +206,12 @@ class TestBulkPointCloudReader:
                 bulk = _read_bulk(path.read_text(), path)
                 assert bulk is None or _outcome(lambda _: bulk, path) == expected, (column, field)
 
+    @pytest.mark.parametrize("m", [40, 1300])
     @pytest.mark.parametrize("newline", ["\n", "\r\n"])
-    def test_plain_files_take_the_bulk_path(self, tmp_path, newline, monkeypatch):
+    def test_plain_files_take_the_bulk_path(self, tmp_path, newline, m, monkeypatch):
         rng = np.random.default_rng(5)
-        cloud = WeightedPointCloud(rng.normal(size=(40, 2)), rng.normal(size=(40, 3)),
-                                   rng.uniform(0.1, 9.0, 40), rng.integers(0, 3, 40))
+        cloud = WeightedPointCloud(rng.normal(size=(m, 2)), rng.normal(size=(m, 3)),
+                                   rng.uniform(0.1, 9.0, m), rng.integers(0, 3, m))
         path = tmp_path / "cloud.csv"
         write_point_cloud(path, cloud)
         lines = path.read_text().splitlines()
@@ -719,6 +725,20 @@ class TestExitCodes:
 
     def test_bad_alpha_is_config_error(self, seven_csv):
         assert main(["fit", "--cloud", seven_csv, "--alpha", "nope:1"]) == 1
+
+    def test_weight_overflow_is_numeric_error(self, tmp_path, capsys):
+        """IRLS weights that the loop drives to infinity exit 2, not as a usage error."""
+        sites = np.linspace(0.0, 1.0, 12)
+        values = sites**2
+        values[5] += 1.0
+        markers = np.full(12, 2)
+        markers[5] = 1
+        path = tmp_path / "spike.csv"
+        write_point_cloud(path, WeightedPointCloud(sites, values, markers=markers))
+        rc = main(["fit", "--cloud", str(path), "--degree", "2", "--knots", "uniform",
+                   "--interior-knots", "1", "--alpha", "irls:1e-8", "--max-iter", "100"])
+        assert rc == 2
+        assert "floating-point range" in capsys.readouterr().err
 
     def test_rank_deficiency_is_numeric_error(self, tmp_path):
         path = tmp_path / "tiny.csv"

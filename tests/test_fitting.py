@@ -1,11 +1,14 @@
 """Reweighted fitting loops, weight updates, benchmark functions."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 import splinefit.wls
 from splinefit import (
     FitConfig,
+    NumericError,
     SplineSpace,
     StagnationError,
     WeightedPointCloud,
@@ -61,6 +64,21 @@ class TestUpdateWeights:
         assert w[0] == pytest.approx(2.0)
         w = update_weights([0.0], [1.0], [], [0], mode="irls", delta=1e-2)
         assert w[0] == pytest.approx(100.0)
+
+    @pytest.mark.parametrize(
+        "errors, weights, one, two, mode, rho",
+        [
+            ([0.0], [1e301], [], [0], "irls", 1.25),
+            ([9.9], [1e300], [0], [], "fixed_factor", 1e10),
+            ([9.9], [1e-300], [], [0], "fixed_factor", 1e100),
+        ],
+        ids=["irls-overflow", "fixed-overflow", "fixed-underflow"],
+    )
+    def test_weight_out_of_range_is_numeric_error(self, errors, weights, one, two, mode, rho):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="weight of point 0"):
+                update_weights(errors, weights, one, two, mode=mode, rho=rho, delta=1e-8)
 
     def test_unmarked_untouched(self):
         w = update_weights([0.5, 0.5, 0.5], [1.0, 1.0, 1.0], [0], [2], mode="error_driven")
@@ -182,6 +200,25 @@ class TestRwlsFit:
         assert len(plans) == 1
         monkeypatch.undo()
         assert rwls_fit(quad_spline_space, cloud, config).records == report.records
+
+    @pytest.mark.parametrize("mode, rho", [("irls", 1.25), ("fixed_factor", 1e100)])
+    def test_weights_driven_to_infinity_are_numeric_error(self, mode, rho):
+        """Weights the loop itself overflows are a numeric failure, not bad input."""
+        sites = np.linspace(0.0, 1.0, 12)
+        values = sites**2
+        values[5] += 1.0
+        markers = np.full(12, 2 if mode == "irls" else 1)
+        markers[5] = 1
+        cloud = WeightedPointCloud(sites, values, markers=markers)
+        space = SplineSpace(make_open_knot_vector((0.0, 1.0), 2, [0.5]))
+        config = FitConfig(
+            tol_i=1e-3, tol_ii=float("inf"), max_iter=100, alpha_mode=mode, rho=rho
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="weight update leaves the floating-point range"):
+                rwls_fit(space, cloud, config)
+
 
 class TestInitMarkers:
     def test_exactly_representable_data_gives_empty_set(self, quad_spline_space):
