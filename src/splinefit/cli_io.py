@@ -1,8 +1,11 @@
 """Batch CLI and file formats.
 
-Point clouds travel as CSV (``x1..xN, f1..fD`` plus optional ``w`` and
-``marker`` columns, ``#`` for comment lines); fitted models as JSON, either
-tensor-product or hierarchical. Four subcommands cover the workflow:
+Point clouds travel as UTF-8 CSV whose header is exactly ``x1..xN, f1..fD``
+then the optional ``w`` and ``marker`` columns (``#`` for comment lines);
+fitted models as UTF-8 JSON, either tensor-product or hierarchical. Each
+layout is defined once: the cloud header by ``_cloud_header``, the report
+columns by the fields of :class:`~splinefit.fitting.IterationRecord`. Four
+subcommands cover the workflow:
 
 ``verify``
     Rebuild the weighted least-squares fit as a convex combination of
@@ -14,14 +17,17 @@ tensor-product or hierarchical. Four subcommands cover the workflow:
 ``sample``
     Evaluate a stored model (and optionally derivatives) on a grid.
 
-Exit codes: 0 success, 1 configuration or verification failure, 2 numeric
-failure (rank deficiency, subset cap, stagnation), 3 I/O or format failure.
+Exit codes: 0 success, 1 configuration or verification failure (a penalty,
+``RHO`` or ``DELTA`` that is not finite, a ``--mesh`` or ``--grid`` count of
+0), 2 numeric failure (rank deficiency, subset cap, stagnation), 3 I/O or
+format failure (a malformed or non-UTF-8 file, a reordered cloud header).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import itertools
 import json
@@ -36,7 +42,7 @@ from .errors import (
     NumericError,
     PointCloudFormatError,
 )
-from .fitting import FitConfig, FitReport, adaptive_rwls_fit, rwls_fit
+from .fitting import FitConfig, FitReport, IterationRecord, adaptive_rwls_fit, rwls_fit
 from .hierarchical import HierarchicalSpace
 from .interp_decomposition import decompose
 from .spline_core import (
@@ -71,32 +77,32 @@ def _fmt(value: float) -> str:
 # ----------------------------------------------------------------------
 
 
+def _cloud_header(n: int, d: int, has_w: bool, has_marker: bool) -> list[str]:
+    """The one point-cloud header: ``x1..xN, f1..fD`` then the optional ``w`` and ``marker``."""
+    return ([f"x{i}" for i in range(1, n + 1)] + [f"f{i}" for i in range(1, d + 1)]
+            + ["w"] * has_w + ["marker"] * has_marker)
+
+
 def _parse_header(fields, path):
-    xs, fs = [], []
-    rest = list(fields)
-    pattern = re.compile(r"^([xf])(\d+)$")
-    while rest:
-        m = pattern.match(rest[0])
-        if not m:
-            break
-        (xs if m.group(1) == "x" else fs).append(int(m.group(2)))
-        rest.pop(0)
-    has_w = bool(rest) and rest[0] == "w"
-    if has_w:
-        rest.pop(0)
-    has_marker = bool(rest) and rest[0] == "marker"
-    if has_marker:
-        rest.pop(0)
-    if rest:
-        raise PointCloudFormatError(f"{path}:1: unexpected column {rest[0]!r}")
-    n, d = len(xs), len(fs)
-    if n == 0 or d == 0:
+    """``(n, d, has_w, has_marker)`` of a header equal to :func:`_cloud_header` of them."""
+    fields = list(fields)
+    tail = list(itertools.dropwhile(re.compile(r"[xf]\d+").fullmatch, fields))
+    has_w = tail[:1] == ["w"]
+    has_marker = tail[has_w:][:1] == ["marker"]
+    if tail[has_w + has_marker :]:
+        raise PointCloudFormatError(f"{path}:1: unexpected column {tail[has_w + has_marker]!r}")
+    head = fields[: len(fields) - len(tail)]
+    xs, fs = ([f for f in head if f[0] == axis] for axis in "xf")
+    if not xs or not fs:
         raise PointCloudFormatError(f"{path}:1: need x1.. and f1.. columns")
-    if sorted(xs) != list(range(1, n + 1)) or xs != sorted(xs):
-        raise PointCloudFormatError(f"{path}:1: x columns must be x1..x{n} in order")
-    if sorted(fs) != list(range(1, d + 1)) or fs != sorted(fs):
-        raise PointCloudFormatError(f"{path}:1: f columns must be f1..f{d} in order")
-    return n, d, has_w, has_marker
+    header = _cloud_header(len(xs), len(fs), has_w, has_marker)
+    for names, want in ((xs, header[: len(xs)]), (fs, header[len(xs) : len(head)])):
+        if names != want:
+            raise PointCloudFormatError(
+                f"{path}:1: {want[0][0]} columns must be {want[0]}..{want[-1]} in order")
+    if fields != header:
+        raise PointCloudFormatError(f"{path}:1: columns must be in the order {','.join(header)}")
+    return len(xs), len(fs), has_w, has_marker
 
 
 # Every byte of a data row of plain decimal numbers is one of these.
@@ -118,15 +124,19 @@ def read_point_cloud(path) -> WeightedPointCloud:
     numbers, a wrong field count, a non-finite number, a non-positive
     weight, a marker other than ``0``, ``1`` or ``2``) goes through the
     line-by-line reader instead, which gives the same cloud or names the
-    offending ``path:line``.
+    offending ``path:line``. A file that is not UTF-8 is a format error.
     """
+    cloud = _read_bulk(_read_text(path, PointCloudFormatError), path)
+    return cloud if cloud is not None else _read_lines(path)
+
+
+def _read_text(path, error) -> str:
+    """The text of a UTF-8 file; other bytes raise ``error`` naming the file."""
     try:
         with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-    except UnicodeDecodeError:
-        text = None
-    cloud = _read_bulk(text, path) if text is not None else None
-    return cloud if cloud is not None else _read_lines(path)
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def _read_bulk(text, path):
@@ -236,22 +246,12 @@ def _read_lines(path) -> WeightedPointCloud:
 def write_point_cloud(path, cloud: WeightedPointCloud, weights: bool = True,
                       markers: bool = True) -> None:
     """Write a cloud in the CSV format accepted by :func:`read_point_cloud`."""
-    n, d = cloud.ndim, cloud.dim_values
-    header = [f"x{i + 1}" for i in range(n)] + [f"f{i + 1}" for i in range(d)]
-    if weights:
-        header.append("w")
-    if markers:
-        header.append("marker")
     with open(path, "w", newline="", encoding="utf-8") as handle:
         out = csv.writer(handle)
-        out.writerow(header)
-        for i in range(cloud.m):
-            row = [_fmt(v) for v in cloud.sites[i]] + [_fmt(v) for v in cloud.values[i]]
-            if weights:
-                row.append(_fmt(cloud.weights[i]))
-            if markers:
-                row.append(str(int(cloud.markers[i])))
-            out.writerow(row)
+        out.writerow(_cloud_header(cloud.ndim, cloud.dim_values, weights, markers))
+        numbers = np.hstack([cloud.sites, cloud.values] + [cloud.weights[:, None]] * weights)
+        for row, marker in zip(numbers.tolist(), cloud.markers.tolist()):
+            out.writerow([_fmt(v) for v in row] + [marker] * markers)
 
 
 # ----------------------------------------------------------------------
@@ -262,28 +262,21 @@ def write_point_cloud(path, cloud: WeightedPointCloud, weights: bool = True,
 def write_model(path, fn: SplineFunction) -> None:
     """Serialize a fitted model; evaluation round-trips exactly."""
     space = fn.space
-    if isinstance(space, HierarchicalSpace):
-        base = space.levels[0]
-        doc = {
-            "kind": "hierarchical",
-            "degree": list(base.degrees),
-            "knots": [kv.knots.tolist() for kv in base.knot_vectors],
-            "levels": space.num_levels,
-            "subdomains": [
-                space.subdomain_cells(lev).tolist() for lev in range(space.num_levels)
-            ],
-            "active": [a.tolist() for a in space.active],
-            "coefficients": fn.coefficients.tolist(),
-        }
-    elif isinstance(space, SplineSpace):
-        doc = {
-            "kind": "tensor",
-            "degree": list(space.degrees),
-            "knots": [kv.knots.tolist() for kv in space.knot_vectors],
-            "coefficients": fn.coefficients.tolist(),
-        }
-    else:
+    hierarchical = isinstance(space, HierarchicalSpace)
+    base = space.levels[0] if hierarchical else space
+    if not isinstance(base, SplineSpace):
         raise ModelFormatError(f"cannot serialize space of type {type(space).__name__}")
+    doc = {
+        "kind": "hierarchical" if hierarchical else "tensor",
+        "degree": list(base.degrees),
+        "knots": [kv.knots.tolist() for kv in base.knot_vectors],
+    }
+    if hierarchical:
+        doc["levels"] = space.num_levels
+        doc["subdomains"] = [space.subdomain_cells(lev).tolist()
+                             for lev in range(space.num_levels)]
+        doc["active"] = [a.tolist() for a in space.active]
+    doc["coefficients"] = fn.coefficients.tolist()
     try:
         text = json.dumps(doc, indent=1, allow_nan=False)
     except ValueError:
@@ -307,11 +300,10 @@ def _json_array(raw, kinds: str, ndim: int | None = None) -> np.ndarray:
 
 def read_model(path) -> SplineFunction:
     """Load a model written by :func:`write_model`."""
-    with open(path, encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ModelFormatError(f"{path}: invalid JSON: {exc}") from None
+    try:
+        doc = json.loads(_read_text(path, ModelFormatError))
+    except json.JSONDecodeError as exc:
+        raise ModelFormatError(f"{path}: invalid JSON: {exc}") from None
     try:
         kind = doc["kind"]
         degrees = _json_array(doc["degree"], "i", 1).tolist()
@@ -347,47 +339,24 @@ def read_model(path) -> SplineFunction:
 # Report and mesh-dump CSV
 # ----------------------------------------------------------------------
 
-_REPORT_COLUMNS = (
-    "iteration",
-    "dofs",
-    "rmse",
-    "max",
-    "max_type_one",
-    "max_not_type_two",
-    "n_type_one",
-    "n_type_two",
-)
-
 
 def _write_report(path, report: FitReport) -> None:
+    """One row per :class:`IterationRecord`, its fields as the columns."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         out = csv.writer(handle)
-        out.writerow(_REPORT_COLUMNS)
-        for r in report.records:
-            out.writerow(
-                [
-                    r.iteration,
-                    r.dofs,
-                    _fmt(r.rmse),
-                    _fmt(r.max),
-                    _fmt(r.max_type_one),
-                    _fmt(r.max_not_type_two),
-                    r.n_type_one,
-                    r.n_type_two,
-                ]
-            )
+        out.writerow(field.name for field in dataclasses.fields(IterationRecord))
+        out.writerows([_fmt(v) if isinstance(v, float) else v for v in dataclasses.astuple(r)]
+                      for r in report.records)
 
 
 def _write_mesh_dump(path, space: HierarchicalSpace) -> None:
-    ndim = space.ndim
-    header = ["level"]
-    for i in range(ndim):
-        header += [f"x{i + 1}_lo", f"x{i + 1}_hi"]
     with open(path, "w", newline="", encoding="utf-8") as handle:
         out = csv.writer(handle)
-        out.writerow(header)
-        for cid, bounds in zip(space.leaf_cells(), space.leaf_cell_bounds()):
-            out.writerow([cid.level] + [_fmt(v) for pair in bounds for v in pair])
+        out.writerow(["level"] + [f"x{i}_{end}" for i in range(1, space.ndim + 1)
+                                  for end in ("lo", "hi")])
+        for level, lo, hi in space.leaf_cell_boxes():
+            bounds = np.stack([lo, hi], axis=-1).reshape(len(lo), 2 * space.ndim)
+            out.writerows([level] + [_fmt(v) for v in row] for row in bounds.tolist())
 
 
 # ----------------------------------------------------------------------
@@ -416,10 +385,11 @@ def _parse_alpha(raw: str):
     raise _UsageError(f"alpha must be 'error', 'fixed:RHO' or 'irls:DELTA', got {raw!r}")
 
 
-def _parse_mesh(raw: str, ndim: int):
+def _parse_mesh(raw: str, ndim: int, option: str):
     parts = raw.lower().split("x")
-    if len(parts) != ndim or not all(p.isdigit() for p in parts):
-        raise _UsageError(f"mesh must be {'x'.join(['N'] * ndim)}, got {raw!r}")
+    if len(parts) != ndim or not all(p.isdigit() and int(p) > 0 for p in parts):
+        raise _UsageError(f"{option} must be {'x'.join(['N'] * ndim)} with every N >= 1, "
+                          f"got {raw!r}")
     return [int(p) for p in parts]
 
 
@@ -506,13 +476,19 @@ def _fit_config(args) -> FitConfig:
     return FitConfig(**kwargs)
 
 
-def _print_summary(report: FitReport) -> None:
+def _finish_fit(args, report: FitReport) -> int:
+    """Write the ``--out`` model and the ``--report`` CSV of a fit, then print its summary."""
+    if args.out:
+        write_model(args.out, report.function)
+    if args.report:
+        _write_report(args.report, report)
     last = report.records[-1]
     print(
         f"iterations: {last.iteration}  dofs: {last.dofs}  "
         f"rmse: {last.rmse:.6e}  max: {last.max:.6e}  "
         f"termination: {report.termination}"
     )
+    return 0
 
 
 def cmd_fit(args) -> int:
@@ -521,13 +497,7 @@ def cmd_fit(args) -> int:
     cloud = WeightedPointCloud(sites, cloud.values, cloud.weights, cloud.markers)
     space = _build_curve_space(args, sites)
     config = _fit_config(args)
-    report = rwls_fit(space, cloud, config)
-    if args.out:
-        write_model(args.out, report.function)
-    if args.report:
-        _write_report(args.report, report)
-    _print_summary(report)
-    return 0
+    return _finish_fit(args, rwls_fit(space, cloud, config))
 
 
 def cmd_fit_adaptive(args) -> int:
@@ -535,7 +505,7 @@ def cmd_fit_adaptive(args) -> int:
     if cloud.ndim != 2:
         raise _UsageError("fit-adaptive expects surface data (two x columns)")
     degrees = args.degree if len(args.degree) == 2 else args.degree * 2
-    cells = _parse_mesh(args.mesh, 2)
+    cells = _parse_mesh(args.mesh, 2, "--mesh")
     kvs = []
     for axis in range(2):
         lo = float(cloud.sites[:, axis].min())
@@ -548,14 +518,9 @@ def cmd_fit_adaptive(args) -> int:
     base = SplineSpace(kvs)
     config = _fit_config(args)
     report = adaptive_rwls_fit(base, cloud, config)
-    if args.out:
-        write_model(args.out, report.function)
-    if args.report:
-        _write_report(args.report, report)
     if args.mesh_dump:
         _write_mesh_dump(args.mesh_dump, report.function.space)
-    _print_summary(report)
-    return 0
+    return _finish_fit(args, report)
 
 
 def cmd_sample(args) -> int:
@@ -564,7 +529,7 @@ def cmd_sample(args) -> int:
     fn = read_model(args.model)
     space = fn.space
     ndim = space.ndim
-    counts = _parse_mesh(args.grid, ndim)
+    counts = _parse_mesh(args.grid, ndim, "--grid")
     axes = [
         np.linspace(space.domain[i][0], space.domain[i][1], counts[i])
         for i in range(ndim)

@@ -75,16 +75,16 @@ class FitConfig:
             raise ValueError("tolerances must be strictly positive")
         if not self.eps > 0:
             raise ValueError("eps must be strictly positive")
-        if self.lam < 0:
-            raise ValueError("penalty weight must be non-negative")
+        if not 0 <= self.lam < np.inf:
+            raise ValueError(f"penalty weight must be finite and non-negative, got {self.lam!r}")
         if self.max_iter < 1 or self.max_levels < 1:
             raise ValueError("iteration and level caps must be at least one")
         if self.alpha_mode not in _ALPHA_MODES:
             raise ValueError(f"alpha_mode must be one of {_ALPHA_MODES}")
-        if self.alpha_mode == "fixed_factor" and not self.rho > 1:
-            raise ValueError("fixed factor rho must exceed one")
-        if not self.delta > 0:
-            raise ValueError("delta must be strictly positive")
+        if self.alpha_mode == "fixed_factor" and not 1 < self.rho < np.inf:
+            raise ValueError(f"fixed factor rho must be finite and exceed one, got {self.rho!r}")
+        if not 0 < self.delta < np.inf:
+            raise ValueError(f"delta must be finite and strictly positive, got {self.delta!r}")
 
 
 @dataclass(frozen=True)

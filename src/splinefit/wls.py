@@ -189,8 +189,8 @@ def weighted_solver(B, P=None, lam: float = 0.0):
     the CSR form of ``B`` is formed here; each solve forms and factors its
     own normal equations.
     """
-    if lam < 0:
-        raise ValueError("penalty weight must be non-negative")
+    if not 0 <= lam < math.inf:
+        raise ValueError(f"penalty weight must be finite and non-negative, got {lam!r}")
     if lam == 0:
         return functools.partial(_band_sweep, _band_plan(B))
     B = scipy.sparse.csr_matrix(B)
@@ -343,7 +343,8 @@ def solve_penalized_wls(B, weights, f, P, lam: float) -> np.ndarray:
 
     ``B`` may be dense or a scipy sparse matrix; either gives the same
     coefficients. ``lam = 0`` is :func:`solve_wls` and ignores ``P``, which
-    may then be ``None``. Raises :class:`SingularSystemError` when the
+    may then be ``None``; ``lam`` must be finite and non-negative
+    (:class:`ValueError`). Raises :class:`SingularSystemError` when the
     regularized normal matrix cannot be factorized and :class:`NumericError`
     when a coefficient is not finite. ``weighted_solver(B, P, lam)`` sets up
     once for many weight vectors.

@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 import splinefit
 from splinefit import (
     CellId,
+    FitReport,
     HierarchicalSpace,
+    IterationRecord,
     PointCloudFormatError,
     ModelFormatError,
     NumericError,
@@ -34,6 +36,7 @@ from splinefit.cli_io import (
     _read_bulk,
     _read_lines,
     _write_mesh_dump,
+    _write_report,
     main,
     read_model,
     read_point_cloud,
@@ -103,11 +106,25 @@ class TestPointCloudFormat:
         with pytest.raises(PointCloudFormatError, match="marker"):
             read_point_cloud(path)
 
-    def test_bad_header_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("x1,x3,f1", "x columns"),
+            # Both once loaded with exit 0, the first with sites and values swapped.
+            ("f1,x1", "bad.csv:1: columns must be in the order x1,f1$"),
+            ("x1,f1,x2,f2", "bad.csv:1: columns must be in the order x1,x2,f1,f2$"),
+            ("x1,f1,marker,w", "bad.csv:1: unexpected column 'w'"),
+        ],
+        ids=["x-gap", "f-first", "interleaved", "w-after-marker"],
+    )
+    def test_bad_header_rejected(self, tmp_path, capsys, header, message):
+        """Only the header ``write_point_cloud`` writes is read; others exit 3 naming line 1."""
         path = tmp_path / "bad.csv"
-        path.write_text("x1,x3,f1\n0.0,0.1,1.0\n")
-        with pytest.raises(PointCloudFormatError, match="x columns"):
+        path.write_text(header + "\n" + ",".join(["0.5"] * len(header.split(","))) + "\n")
+        with pytest.raises(PointCloudFormatError, match=message):
             read_point_cloud(path)
+        assert main(["fit", "--cloud", str(path), "--interior-knots", "1"]) == 3
+        assert "bad.csv:1: " in capsys.readouterr().err
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -144,7 +161,8 @@ _ODD_FIELDS = _ODD_MARKERS + [" ", "nan", "inf", "-inf", "1e999", "0", "0.0", "-
                               "1 ", "1e", ".", "1.2.3", "1_0", "\u0661", '"1"', '"', "1#x",
                               "#", "\t2", "1\x00", "1e-400"]
 _HEADERS = ["x1,f1", "x1,f1,w", "x1,f1,marker", "x1,x2,f1,f2,w,marker", " x1 , f1 ,w",
-            "x1,f1,w,marker", "x1,x2,x3,f1", "x1,f1,f2,marker", "x2,f1", "x1,f1,q"]
+            "x1,f1,w,marker", "x1,x2,x3,f1", "x1,f1,f2,marker", "x2,f1", "x1,f1,q", "f1,x1",
+            "x1,f1,x2,f2"]
 _EXTRA_LINES = ["", "   ", "# note", "  # indented, note", '# a, "quoted', '"#", quoted', '#,"open']
 _NUMBERS = st.builds(lambda fmt, v: fmt % v, st.sampled_from(["%.17g", "%r", "%.3e", "%g"]),
                      st.floats(allow_nan=False, allow_infinity=False))
@@ -473,6 +491,18 @@ class TestFitCommand:
             assert rc == 0
         assert r1.read_bytes() == r2.read_bytes()
 
+    def test_report_bytes(self, tmp_path):
+        """The report layout, pinned: the benchmark's checks read these columns by name."""
+        records = (IterationRecord(1, 10, 0.1, 1 / 3, 0.0, 2.5e-7, 3, 0),
+                   IterationRecord(2, 13, 1e-300, 12.0, 0.25, 1e22, 2, 1))
+        path = tmp_path / "r.csv"
+        _write_report(path, FitReport(records, None, None, "tolerance"))
+        assert path.read_bytes() == (
+            b"iteration,dofs,rmse,max,max_type_one,max_not_type_two,n_type_one,n_type_two\r\n"
+            b"1,10,0.10000000000000001,0.33333333333333331,0,2.4999999999999999e-07,3,0\r\n"
+            b"2,13,1e-300,12,0.25,1e+22,2,1\r\n"
+        )
+
     def test_averaging_knots_ignore_row_order(self, tmp_path, capsys):
         sites = np.linspace(0.0, 1.0, 11) ** 1.5
         shuffled = np.random.default_rng(5).permutation(11)
@@ -719,6 +749,54 @@ class TestExitCodes:
         path = tmp_path / "bad.csv"
         path.write_text("x1,f1\n0.0\n")
         assert main(["fit", "--cloud", str(path)]) == 3
+
+    def test_non_utf8_cloud_is_io_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"x1,f1\n0.0,1.0\n0.5,\xff\n1.0,2.0\n")
+        assert main(["fit", "--cloud", str(path), "--interior-knots", "1"]) == 3
+        assert f"{path}: not UTF-8 text" in capsys.readouterr().err
+
+    def test_non_utf8_model_is_io_error(self, tmp_path, capsys):
+        space = SplineSpace(make_open_knot_vector((0.0, 1.0), 2, [0.5]))
+        model = tmp_path / "m.json"
+        write_model(model, SplineFunction(space, np.ones(space.dim)))
+        model.write_bytes(model.read_bytes().replace(b'"tensor"', b'"\xfftensor"'))
+        out = tmp_path / "s.csv"
+        assert main(["sample", "--model", str(model), "--grid", "5", "--out", str(out)]) == 3
+        assert f"{model}: not UTF-8 text" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--lambda", "nan"), ("--lambda", "inf"), ("--alpha", "fixed:inf"),
+         ("--alpha", "irls:inf")],
+    )
+    def test_non_finite_penalty_or_alpha_is_config_error(self, tmp_path, capsys, option, value):
+        """λ, ρ and δ are checked before fitting: no traceback, no model of a diverged fit."""
+        x = np.linspace(0.0, 1.0, 60)
+        path = tmp_path / "sine.csv"
+        write_point_cloud(path, WeightedPointCloud(x, np.sin(6.0 * x)))
+        model = tmp_path / "m.json"
+        rc = main(["fit", "--cloud", str(path), "--interior-knots", "6", option, value,
+                   "--out", str(model)])
+        assert rc == 1
+        assert f"got {value.split(':')[-1]}" in capsys.readouterr().err
+        assert not model.exists()
+
+    def test_zero_count_is_config_error(self, tmp_path, capsys):
+        space = SplineSpace(make_open_knot_vector((0.0, 1.0), 2, [0.5]))
+        model = tmp_path / "m.json"
+        write_model(model, SplineFunction(space, np.ones(space.dim)))
+        out = tmp_path / "s.csv"
+        assert main(["sample", "--model", str(model), "--grid", "0", "--out", str(out)]) == 1
+        assert "--grid must be N with every N >= 1, got '0'" in capsys.readouterr().err
+        assert not out.exists()
+        g = np.linspace(-1.0, 1.0, 6)
+        cloud = tmp_path / "surface.csv"
+        write_point_cloud(cloud, WeightedPointCloud(np.stack(np.meshgrid(g, g), -1).reshape(-1, 2),
+                                                    np.ones(36)))
+        assert main(["fit-adaptive", "--cloud", str(cloud), "--mesh", "0x8", "--eps", "0.1"]) == 1
+        assert "--mesh must be NxN with every N >= 1, got '0x8'" in capsys.readouterr().err
 
     def test_bad_flag_value_is_config_error(self, seven_csv):
         assert main(["fit", "--cloud", seven_csv, "--param", "bogus"]) == 1

@@ -41,6 +41,18 @@ def surface_space(degree, cells):
     return SplineSpace([kv, kv])
 
 
+@pytest.mark.parametrize(
+    "kwargs, value",
+    [(dict(lam=np.nan), "nan"), (dict(lam=np.inf), "inf"),
+     (dict(alpha_mode="fixed_factor", rho=np.inf), "inf"),
+     (dict(alpha_mode="fixed_factor", rho=np.nan), "nan"),
+     (dict(alpha_mode="irls", delta=np.inf), "inf"), (dict(delta=np.nan), "nan")],
+)
+def test_fit_config_rejects_non_finite_parameters(kwargs, value):
+    with pytest.raises(ValueError, match=f"must be finite .*, got {value}$"):
+        FitConfig(**kwargs)
+
+
 class TestUpdateWeights:
     def test_error_driven_type_one(self):
         w = update_weights([0.2], [1.0], [0], [], mode="error_driven")

@@ -416,6 +416,13 @@ class TestSolvePenalizedWls:
         with pytest.raises(ValueError, match="non-negative"):
             solve_penalized_wls(B, w, f, P, -1.0)
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_rejects_non_finite_penalty(self, instance, lam):
+        """Refused when the solver is built, not deep in a solve (NaN took the penalized path)."""
+        B, w, f, P = instance
+        with pytest.raises(ValueError, match=f"finite and non-negative, got {lam}"):
+            weighted_solver(B, P, lam)
+
     def test_overflowing_right_hand_side_raises(self):
         """Finite data whose weighted right-hand side overflows gives no coefficients."""
         space = SplineSpace(make_open_knot_vector((0.0, 1.0), 2, [0.5]))
