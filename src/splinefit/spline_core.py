@@ -306,36 +306,19 @@ class SplineSpace:
         )
 
     def _tensor_rows(self, sites, alpha) -> tuple[np.ndarray, np.ndarray]:
-        """Per-site flat indices and values, ``(m, prod(order))`` each, as row-wise outer products."""
-        firsts, tables = [], []
+        """Per-site flat indices and values, ``(m, prod(order))`` each, as row-wise outer products.
+
+        Functions run with the last direction fastest.
+        """
+        m = sites.shape[0]
+        idx = np.zeros((m, 1), dtype=np.intp)
+        vals = np.ones((m, 1))
         for kv, x, a in zip(self.knot_vectors, sites.T, alpha):
             first, ders = kv.basis_rows(x, a)
-            firsts.append(first)
-            tables.append(ders[:, None, a, :])
-        idx, vals = self.outer_rows(firsts, tables)
-        return idx, vals[:, 0]
-
-    def outer_rows(self, firsts, tables) -> tuple[np.ndarray, np.ndarray]:
-        """Tensor-product rows of ``n`` items from per-direction kernel rows.
-
-        ``firsts[d]`` of shape ``(n,)`` and ``tables[d]`` of shape ``(n, p_d,
-        order_d)`` hold, per item, the first index and the values of direction
-        ``d``'s nonzero functions at ``p_d`` coordinates. Returns flat function
-        indices ``(n, prod(order))`` and values ``(n, prod(p), prod(order))``
-        on the grid of those coordinates; points and functions both run with
-        the last direction fastest.
-        """
-        n = firsts[0].shape[0]
-        idx = np.zeros((n, 1), dtype=np.intp)
-        vals = np.ones((n, 1, 1))
-        for kv, first, tab in zip(self.knot_vectors, firsts, tables):
-            cols = first[:, None] + np.arange(kv.order)
-            idx = (idx[:, :, None] * kv.dim + cols[:, None, :]).reshape(
-                n, idx.shape[1] * kv.order
-            )
-            vals = (vals[:, :, None, :, None] * tab[:, None, :, None, :]).reshape(
-                n, vals.shape[1] * tab.shape[1], vals.shape[2] * kv.order
-            )
+            width = idx.shape[1] * kv.order
+            cols = first[:, None, None] + np.arange(kv.order)
+            idx = (idx[:, :, None] * kv.dim + cols).reshape(m, width)
+            vals = (vals[:, :, None] * ders[:, None, a, :]).reshape(m, width)
         return idx, vals
 
     def _multi_index(self, alpha) -> tuple[int, ...]:

@@ -4,13 +4,14 @@ Both solvers take the collocation matrix ``B`` dense or scipy sparse and
 work on its CSR form; neither densifies it. The unpenalized solver factors
 ``sqrt(W) B c = sqrt(W) f`` by a banded block Householder QR that keeps only
 the triangle ``R``, shared across value components. The penalized solver
-forms its normal equations through the CSR Gram ``B^T W B``, where the
-energy matrix makes the orthogonal route unnatural.
+forms its normal matrix ``0.5 B^T W B + lam P`` in CSR, renumbers the
+unknowns in the reverse Cuthill-McKee order of ``P``'s pattern, which holds
+that of ``B^T B``, and factors the upper band by a banded Cholesky.
 
 Reweighting loops solve on one ``B`` with ever new weights.
-:func:`weighted_solver` does the work that depends on ``B`` alone once (for
-the QR: the CSR copy, the column and row orders and the block layout) and
-returns a ``solve(weights, f)`` that pays only for the scaling and the sweep;
+:func:`weighted_solver` does the work that depends on ``B`` and ``P`` alone
+once (the CSR copies, the orders, the QR's block layout) and returns a
+``solve(weights, f)`` that pays only for what the weights change;
 :func:`solve_wls` and :func:`solve_penalized_wls` are one such solve.
 """
 
@@ -185,28 +186,54 @@ def weighted_solver(B, P=None, lam: float = 0.0):
     and the block layout, with its row and column scatter indices. An
     underdetermined ``B`` raises :class:`RankDeficiencyError` here. Each
     solve then validates its input, scales the rows by ``sqrt(w)`` and runs
-    the sweep, the rank test and the triangular solve. At ``lam > 0`` only
-    the CSR form of ``B`` is formed here; each solve forms and factors its
-    own normal equations.
+    the sweep, the rank test and the triangular solve.
+
+    At ``lam > 0`` this builds the CSR copies of ``B``, ``B^T`` and ``lam P``
+    (``P`` dense or sparse) and the reverse Cuthill-McKee order of ``P``'s
+    pattern, which holds that of ``B^T W B`` when ``P`` is the energy of
+    ``B``'s space (both pair the functions whose supports overlap). Each
+    solve forms ``A = 0.5 B^T W B + lam P`` in CSR, packs its upper triangle
+    in that order into a band as wide as ``A`` needs and calls
+    :func:`scipy.linalg.solveh_banded`; an ``A`` that is not positive
+    definite raises :class:`SingularSystemError`. ``scipy.sparse.csgraph``
+    is imported here, not at start-up.
     """
     if not 0 <= lam < math.inf:
         raise ValueError(f"penalty weight must be finite and non-negative, got {lam!r}")
     if lam == 0:
         return functools.partial(_band_sweep, _band_plan(B))
-    B = scipy.sparse.csr_matrix(B)
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    B = scipy.sparse.csr_matrix(B, dtype=float)
+    Bt = B.T.tocsr()
+    row_of = np.repeat(np.arange(B.shape[0]), np.diff(B.indptr))
+    if not scipy.sparse.issparse(P):  # csr_matrix of a dense P takes several times as long
+        P = np.asarray(P, dtype=float)
+        flat = np.flatnonzero(P != 0)
+        P = scipy.sparse.coo_matrix((P.flat[flat], np.divmod(flat, P.shape[1])), shape=P.shape)
+    lam_P = lam * scipy.sparse.csr_matrix(P, dtype=float)
+    order = reverse_cuthill_mckee(lam_P, symmetric_mode=True)
+    pos = np.empty_like(order)
+    pos[order] = np.arange(order.size)
 
     def solve(weights, f):
         w, f2, squeeze = _weighted_system(B.shape[0], weights, f)
-        gram = (B.T @ B.multiply(w[:, None])).toarray()
-        rhs = B.T @ (f2 * w[:, None])
-        A = 0.5 * gram + lam * np.asarray(P)
-        A = 0.5 * (A + A.T)
+        half_w = 0.5 * w
+        gram = Bt @ scipy.sparse.csr_matrix((B.data * half_w[row_of], B.indices, B.indptr),
+                                            shape=B.shape)
+        A = (gram + lam_P).tocoo()
+        i, j = pos[A.row], pos[A.col]
+        upper = i <= j
+        i, j = i[upper], j[upper]
+        band = int((j - i).max())
+        ab = np.zeros((band + 1, order.size))
+        ab[band + i - j, j] = A.data[upper]
+        rhs = (Bt @ (f2 * half_w[:, None]))[order]
         try:
-            factor = scipy.linalg.cho_factor(A, check_finite=False)
-            c = scipy.linalg.cho_solve(factor, 0.5 * rhs, check_finite=False)
+            c = scipy.linalg.solveh_banded(ab, rhs, check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError(f"penalized normal system is singular: {exc}") from exc
-        return _finite(c, squeeze)
+        return _finite(c[pos], squeeze)
 
     return solve
 
@@ -239,21 +266,31 @@ def solve_wls(B, weights, f) -> np.ndarray:
     return weighted_solver(B)(weights, f)
 
 
-def _second_order_multi_indices(ndim):
-    """Multi-indices of total order two with their multinomial coefficients."""
-    out = []
-    for alpha in itertools.product(range(3), repeat=ndim):
-        if sum(alpha) == 2:
-            coeff = 2.0 / math.prod(math.factorial(a) for a in alpha)
-            out.append((alpha, coeff))
-    return out
+def _gram_1d(kvs) -> np.ndarray:
+    """``G[k]``, ``k = 0, 1, 2``: integrals of products of ``k``-th derivatives.
 
-
-# Leaf cells of one level go through the assembly in batches whose element
-# matrices take about this many bytes. Batching a whole level at once costs
-# several times the size of P in temporaries and shows in peak memory; much
-# smaller batches spend the time in per-batch Python overhead.
-_BATCH_BYTES = 1 << 20
+    The functions are those of every knot vector in ``kvs``, numbered one
+    knot vector after another. Gauss-Legendre quadrature with ``degree + 1``
+    points on every span of the union of their breakpoints is exact.
+    """
+    breaks = np.unique(np.concatenate([kv.breakpoints for kv in kvs]))
+    nodes, gauss_w = np.polynomial.legendre.leggauss(kvs[0].degree + 1)
+    half = 0.5 * np.diff(breaks)
+    x = (breaks[:-1, None] + half[:, None] * (nodes + 1.0)).ravel()
+    w = (half[:, None] * gauss_w).ravel()
+    idx, vals, n = [], [], 0
+    for kv in kvs:
+        first, ders = kv.basis_rows(x, 2)
+        idx.append(n + first[:, None] + np.arange(kv.order))
+        vals.append(ders)
+        n += kv.dim
+    idx = np.concatenate(idx, axis=1)
+    vals = np.concatenate(vals, axis=2)
+    pairs = (idx[:, :, None] * n + idx[:, None, :]).ravel()
+    prod = vals[:, :, :, None] * vals[:, :, None, :] * w[:, None, None, None]
+    return np.stack(
+        [np.bincount(pairs, prod[:, k].ravel(), minlength=n * n) for k in range(3)]
+    ).reshape(3, n, n)
 
 
 def assemble_thin_plate(space) -> np.ndarray:
@@ -261,81 +298,53 @@ def assemble_thin_plate(space) -> np.ndarray:
 
     ``J`` integrates the squared second derivatives over the domain, mixed
     terms carrying their multinomial weight (``ss + 2 st + tt`` in two
-    variables, ``integral of (v'')^2`` in one). Gauss-Legendre quadrature
-    with ``max degree + 1`` points per direction on every leaf cell of the
-    tessellation is exact for the piecewise-polynomial integrand. Requires
-    degree at least two in every direction.
+    variables, ``integral of (v'')^2`` in one). Requires degree at least two
+    in every direction. Returns a dense, exactly symmetric array.
 
-    A tensor space is the one-level hierarchical space. The leaf cells of a
-    level share their Gauss nodes up to an affine map, so they are assembled
-    together, in batches of about ``_BATCH_BYTES`` of element matrices: one
-    :meth:`KnotVector.basis_rows` call per direction and level evaluates the
-    value and derivative rows of the batch, one batched ``matmul`` forms the
-    element matrices ``sum_alpha c_alpha R^T diag(w) R``, and one
-    ``np.add.at`` scatters them into the dense ``P``. Only levels up to the
-    cell's own can have functions supported on it.
+    A tensor space is the one-level hierarchical space. The basis is not
+    truncated and the domain is a box, so every active function is a tensor
+    B-spline of its own level and ``P[a, b] = sum_alpha c_alpha prod_d
+    G_d^(alpha_d)[a_d, b_d]``: ``G_d^(k)`` (:func:`_gram_1d`) integrates
+    products of ``k``-th derivatives of all levels' 1-D functions in
+    direction ``d``, and ``a_d`` indexes ``a``'s factor among them.
+
+    Leaf cells tessellate the box, and each support is a union of leaf cells
+    inside which the function is positive. So two functions overlap on a set
+    of positive measure exactly when both are nonzero at some leaf-cell
+    centre: ``P`` has the pattern of ``C^T C``, ``C`` the basis at those
+    centres. Its upper triangle takes one gather per direction and
+    derivative order, and is mirrored.
     """
     for d in space.degrees:
         if d < 2:
             raise ValueError("thin-plate energy needs degree >= 2 in every direction")
     h = space if isinstance(space, HierarchicalSpace) else HierarchicalSpace.from_base(space)
-    terms = _second_order_multi_indices(h.ndim)
-    nodes, gauss_w = np.polynomial.legendre.leggauss(max(h.degrees) + 1)
-    q = nodes.size
 
-    # Global column of every tensor function per level. Inactive functions
-    # point at an extra last row and column of P, which is dropped.
-    columns = []
-    for lev, act in enumerate(h.active):
-        col = np.full(h.levels[lev].dim, h.dim, dtype=np.intp)
-        col[act] = h.offsets[lev] + np.arange(act.size)
-        columns.append(col)
-    P = np.zeros((h.dim + 1, h.dim + 1))
+    centres = np.concatenate([0.5 * (lo + hi) for _, lo, hi in h.leaf_cell_boxes()])
+    C = h.basis_matrix(centres)
+    pattern = scipy.sparse.triu(C.T @ C, format="coo")
+    rows, cols = pattern.row, pattern.col
 
-    for top, lo, hi in h.leaf_cell_boxes():
-        levels = [lev for lev in range(top + 1) if h.active[lev].size]
-        if not levels:
-            continue
-        width = len(levels) * math.prod(kv.order for kv in h.levels[0].knot_vectors)
-        batch = max(1, _BATCH_BYTES // (8 * width * width))
-        for start in range(0, lo.shape[0], batch):
-            a, b = lo[start : start + batch], hi[start : start + batch]
-            n = a.shape[0]
-            half = 0.5 * (b - a)
-            pts = a[:, :, None] + half[:, :, None] * (nodes + 1.0)
-            pw = np.ones((n, 1))
-            for wts in (half[:, :, None] * gauss_w).transpose(1, 0, 2):
-                pw = (pw[:, :, None] * wts[:, None, :]).reshape(n, -1)
-
-            cols, rows = [], {alpha: [] for alpha, _ in terms}
-            for lev in levels:
-                space_l = h.levels[lev]
-                firsts, tables = [], []
-                for kv, x in zip(space_l.knot_vectors, pts.transpose(1, 0, 2)):
-                    first, ders = kv.basis_rows(x.ravel(), 2)
-                    firsts.append(first[::q])
-                    tables.append(ders.reshape(n, q, 3, kv.order))
-                for alpha, _ in terms:
-                    idx, R = space_l.outer_rows(
-                        firsts, [t[:, :, k, :] for t, k in zip(tables, alpha)]
-                    )
-                    rows[alpha].append(R)
-                cols.append(columns[lev][idx])
-
-            # All terms stacked along the point axis, each point weight
-            # carrying its term's coefficient, make one batched product.
-            R = np.concatenate(
-                [np.concatenate(rows[alpha], axis=2) for alpha, _ in terms], axis=1
-            )
-            w = np.concatenate([coeff * pw for _, coeff in terms], axis=1)
-            E = R.transpose(0, 2, 1) @ (R * w[:, :, None])
-            c = np.concatenate(cols, axis=1)
-            np.add.at(P, (c[:, :, None], c[:, None, :]), E)
-
-    P = P[:-1, :-1]
-    out = P + P.T
-    out *= 0.5
-    return out
+    factors, grams = [], {}
+    for axis in range(h.ndim):
+        kvs = tuple(space_l.knot_vectors[axis] for space_l in h.levels)
+        if kvs not in grams:
+            grams[kvs] = _gram_1d(kvs)
+        start = np.cumsum([0] + [kv.dim for kv in kvs])
+        index = np.concatenate([start[lev] + np.unravel_index(act, space_l.dims)[axis]
+                                for lev, (space_l, act) in enumerate(zip(h.levels, h.active))])
+        factors.append(grams[kvs][:, index[rows], index[cols]])
+    # Each term of total order two carries its multinomial weight 2 / alpha!.
+    vals = sum(
+        2.0 / math.prod(map(math.factorial, alpha))
+        * math.prod(f[k] for f, k in zip(factors, alpha))
+        for alpha in itertools.product(range(3), repeat=h.ndim)
+        if sum(alpha) == 2
+    )
+    P = np.zeros((h.dim, h.dim))
+    P[rows, cols] = vals
+    P[cols, rows] = vals
+    return P
 
 
 def solve_penalized_wls(B, weights, f, P, lam: float) -> np.ndarray:

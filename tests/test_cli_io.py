@@ -675,6 +675,15 @@ class TestParserReuse:
         assert cli_io._build_parser() is cli_io._build_parser()
 
 
+def fresh_python(*args):
+    """Run a fresh interpreter on ``args`` with this checkout's ``src`` on the path."""
+    src = Path(splinefit.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 class TestStartup:
     def test_import_loads_no_heavy_scipy_subpackage(self):
         """Every CLI call pays the import: ndimage, special and interpolate stay out of it."""
@@ -684,13 +693,23 @@ class TestStartup:
             "heavy = ('scipy.ndimage', 'scipy.special', 'scipy.interpolate')\n"
             "print(' '.join(name for name in heavy if name in sys.modules))\n"
         )
-        src = Path(splinefit.__file__).resolve().parent.parent
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(src), os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=120)
+        proc = fresh_python("-c", script)
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert proc.stdout.strip() == ""
+
+    def test_import_leaves_the_penalized_solve_reordering_out(self):
+        """``scipy.sparse.csgraph`` is loaded by the first penalized solve, not by start-up."""
+        proc = fresh_python(
+            "-c", "import sys, splinefit.cli_io; print('scipy.sparse.csgraph' in sys.modules)"
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_python_m_splinefit_runs_the_cli(self):
+        proc = fresh_python("-W", "error", "-m", "splinefit", "--help")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert "fit-adaptive" in proc.stdout
 
 
 class TestExitCodes:

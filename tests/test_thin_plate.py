@@ -1,4 +1,4 @@
-"""The level-batched thin-plate assembly against the per-cell loop it replaced."""
+"""The thin-plate assembly from 1-D Gram factors against a per-cell quadrature loop."""
 
 import functools
 import itertools
@@ -6,9 +6,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import splinefit.wls
 from splinefit import (
+    CellId,
     HierarchicalSpace,
     KnotVector,
     SplineSpace,
@@ -18,8 +20,8 @@ from splinefit import (
     uniform_interior,
 )
 
-# Both assemblies integrate the same products with the same Gauss rule and
-# differ only in the order of the sums.
+# Both assemblies integrate the same products exactly by Gauss rules and
+# differ only in the rounding of the sums.
 REL_FROBENIUS = 1e-12
 
 
@@ -27,7 +29,7 @@ def per_cell_thin_plate(space):
     """One Gauss grid per leaf cell and one dense update of ``P`` per cell and term.
 
     The rows come from ``basis_matrix``, which is checked against scipy
-    elsewhere, so this shares no assembly code with the batched version.
+    elsewhere, so this shares no assembly code with the factored version.
     """
     if isinstance(space, HierarchicalSpace):
         cells = [(space.levels[c.level].knot_vectors, c.index) for c in space.leaf_cells()]
@@ -93,14 +95,46 @@ SPACES = {
 }
 
 
-@pytest.mark.parametrize("batch_bytes", [None, 1], ids=["default-batch", "one-cell-batch"])
 @pytest.mark.parametrize("name", sorted(SPACES))
-def test_matches_per_cell_reference(name, batch_bytes, monkeypatch):
-    if batch_bytes is not None:
-        monkeypatch.setattr(splinefit.wls, "_BATCH_BYTES", batch_bytes)
+def test_matches_per_cell_reference(name):
     space = SPACES[name]()
     P = assemble_thin_plate(space)
     ref = per_cell_thin_plate(space)
     assert type(P) is np.ndarray and P.shape == (space.dim, space.dim)
     np.testing.assert_array_equal(P, P.T)
     assert np.linalg.norm(P - ref) <= REL_FROBENIUS * np.linalg.norm(ref)
+
+
+def random_knot_vector(data, degree):
+    """A clamped knot vector on [0, 1] with 2 to 3 spans of random relative lengths."""
+    gaps = np.array(data.draw(st.lists(st.integers(1, 4), min_size=2, max_size=3)), float)
+    breaks = np.cumsum(gaps)[:-1] / gaps.sum()
+    return make_open_knot_vector((0.0, 1.0), degree, breaks)
+
+
+@settings(max_examples=15)
+@given(st.data())
+def test_random_hierarchical_spaces_match_per_cell_reference(data):
+    """1-D and 2-D spaces of degree 2-3 with 2-3 levels refined on random cells."""
+    ndim = data.draw(st.integers(1, 2), label="ndim")
+    degree = data.draw(st.integers(2, 3), label="degree")
+    h = HierarchicalSpace.from_base(
+        SplineSpace([random_knot_vector(data, degree) for _ in range(ndim)])
+    )
+    for level in range(data.draw(st.integers(1, 2), label="refinements")):
+        shape = h.domains[level].shape
+        cells = data.draw(
+            st.lists(st.sampled_from(list(h.subdomain_cells(level))), min_size=1, unique=True),
+            label=f"level {level} marks",
+        )
+        marks = [CellId(level, np.unravel_index(c, shape)) for c in cells]
+        h = h.refine(marks, buffer=data.draw(st.booleans(), label="buffer"))
+
+    P = assemble_thin_plate(h)
+    ref = per_cell_thin_plate(h)
+    np.testing.assert_array_equal(P, P.T)
+    assert np.linalg.norm(P - ref) <= REL_FROBENIUS * np.linalg.norm(ref)
+
+    centres = np.array([[0.5 * (a + b) for a, b in cell] for cell in h.leaf_cell_bounds()])
+    C = h.basis_matrix(centres)
+    np.testing.assert_array_equal(P != 0, (C.T @ C).toarray() != 0)

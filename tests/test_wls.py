@@ -20,6 +20,7 @@ from splinefit import (
     KnotVector,
     NumericError,
     RankDeficiencyError,
+    SingularSystemError,
     SplineFunction,
     SplineSpace,
     WeightedPointCloud,
@@ -422,6 +423,31 @@ class TestSolvePenalizedWls:
         B, w, f, P = instance
         with pytest.raises(ValueError, match=f"finite and non-negative, got {lam}"):
             weighted_solver(B, P, lam)
+
+    def test_banded_solve_matches_dense_normal_equations(self):
+        """Two value components on a hierarchical space, against a dense solve."""
+        h, B, w, f = hierarchical_problem()
+        P = assemble_thin_plate(h)
+        F = np.column_stack([f, np.sin(4 * f)])
+        lam = 1e-4
+        dense = B.toarray()
+        A = 0.5 * dense.T @ (dense * w[:, None]) + lam * P
+        ref = np.linalg.solve(A, 0.5 * dense.T @ (F * w[:, None]))
+        c = solve_penalized_wls(B, w, F, P, lam)
+        assert c.shape == ref.shape
+        assert np.linalg.norm(c - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_indefinite_system_raises_singular_system_error(self):
+        """A penalty with a large negative eigenvalue: the banded Cholesky fails cleanly."""
+        h, B, w, f = hierarchical_problem()
+        dense = B.toarray()
+        gram = 0.5 * dense.T @ (dense * w[:, None])
+        lam = 1e-5
+        P = assemble_thin_plate(h)
+        P[3, 3] = -2.0 * gram[3, 3] / lam
+        assert np.linalg.eigvalsh(gram + lam * P).min() < 0
+        with pytest.raises(SingularSystemError, match="penalized normal system is singular"):
+            solve_penalized_wls(B, w, f, P, lam)
 
     def test_overflowing_right_hand_side_raises(self):
         """Finite data whose weighted right-hand side overflows gives no coefficients."""
