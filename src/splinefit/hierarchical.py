@@ -17,7 +17,6 @@ import itertools
 from typing import Iterable, NamedTuple
 
 import numpy as np
-import scipy.sparse
 
 from .spline_core import KnotVector, SplineSpace, _as_sites
 
@@ -232,14 +231,23 @@ class HierarchicalSpace:
         """Sparse matrix of the active functions, or their partial derivative ``alpha``, at the sites.
 
         Each level's tensor matrix restricted to its active columns,
-        stacked level-major: ``hstack_l B_l[:, active_l]``.
+        stacked level-major: ``hstack_l B_l[:, active_l]``. Loads
+        ``scipy.sparse`` on first call; evaluation needs no matrix.
         """
+        import scipy.sparse
         blocks = [
             space.basis_matrix(sites, alpha)[:, act]
             for space, act in zip(self.levels, self.active)
             if act.size
         ]
         return scipy.sparse.hstack(blocks, format="csr")
+
+    def _levels_with(self, coefficients):
+        """Per level, its tensor space and ``coefficients`` scattered over all of its functions."""
+        for space, act, start in zip(self.levels, self.active, self.offsets):
+            full = np.zeros((space.dim, coefficients.shape[1]))
+            full[act] = coefficients[start : start + act.size]
+            yield space, full
 
     def eval_basis(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Indices and values of the active functions supported at ``x``."""

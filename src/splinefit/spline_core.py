@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.sparse
 
 __all__ = [
     "KnotVector",
@@ -295,10 +294,12 @@ class SplineSpace:
         return idx[0], vals[0]
 
     def basis_matrix(self, sites, alpha=None) -> scipy.sparse.csr_matrix:
-        """Sparse ``(m, dim)`` matrix of the basis, or its partial derivative ``alpha``, at the sites."""
-        sites = _as_sites(sites, self.ndim)
-        alpha = (0,) * self.ndim if alpha is None else self._multi_index(alpha)
-        idx, vals = self._tensor_rows(sites, alpha)
+        """Sparse ``(m, dim)`` matrix of the basis, or its partial derivative ``alpha``, at the sites.
+
+        Loads ``scipy.sparse`` on first call; evaluation needs no matrix.
+        """
+        import scipy.sparse
+        idx, vals = self._tensor_rows(_as_sites(sites, self.ndim), self._multi_index(alpha))
         m, width = idx.shape
         return scipy.sparse.csr_matrix(
             (vals.ravel(), idx.ravel(), np.arange(0, m * width + 1, width)),
@@ -321,7 +322,13 @@ class SplineSpace:
             vals = (vals[:, :, None] * ders[:, None, a, :]).reshape(m, width)
         return idx, vals
 
+    def _levels_with(self, coefficients):
+        """``(tensor space, coefficients of all its functions)`` per level: here the one level."""
+        return ((self, coefficients),)
+
     def _multi_index(self, alpha) -> tuple[int, ...]:
+        if alpha is None:
+            return (0,) * self.ndim
         if np.isscalar(alpha):
             if self.ndim != 1:
                 raise ValueError("multi-index required for a multivariate space")
@@ -510,17 +517,20 @@ class SplineFunction:
 
     def evaluate(self, x) -> np.ndarray:
         """Value at ``x`` as a length-D vector."""
-        idx, vals = self.space.eval_basis(x)
-        return vals @ self.coefficients[idx]
+        return self.evaluate_many(np.reshape(x, (1, -1)))[0]
 
     def evaluate_derivative(self, x, alpha) -> np.ndarray:
         """Partial derivative ``alpha`` at ``x`` as a length-D vector."""
-        idx, vals = self.space.eval_basis_derivatives(x, alpha)
-        return vals @ self.coefficients[idx]
+        return self.evaluate_many(np.reshape(x, (1, -1)), alpha)[0]
 
     def evaluate_many(self, sites, alpha=None) -> np.ndarray:
         """Values, or partial derivatives ``alpha``, at several points, one row per site."""
-        return self.space.basis_matrix(sites, alpha) @ self.coefficients
+        sites = _as_sites(sites, self.space.ndim)
+        out = np.zeros((sites.shape[0], self.dim_values))
+        for level, full in self.space._levels_with(self.coefficients):
+            idx, vals = level._tensor_rows(sites, level._multi_index(alpha))
+            out += np.einsum("mk,mkd->md", vals, full[idx])
+        return out
 
 
 def parameterize(values, method: str = "uniform") -> np.ndarray:

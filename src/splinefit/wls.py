@@ -13,6 +13,8 @@ Reweighting loops solve on one ``B`` with ever new weights.
 once (the CSR copies, the orders, the QR's block layout) and returns a
 ``solve(weights, f)`` that pays only for what the weights change;
 :func:`solve_wls` and :func:`solve_penalized_wls` are one such solve.
+scipy is imported by the functions that use it, at the first solve or
+energy assembly: importing, reading and evaluating a model need numpy alone.
 """
 
 from __future__ import annotations
@@ -23,9 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-from scipy.linalg.lapack import dtpqrt as _tpqrt
 
 from .errors import NumericError, RankDeficiencyError, SingularSystemError
 from .hierarchical import HierarchicalSpace
@@ -98,6 +97,7 @@ class _BandPlan:
 
 def _band_plan(B) -> _BandPlan:
     """Column order, row order and block layout of the banded QR of ``B``."""
+    import scipy.sparse
     A = scipy.sparse.csr_matrix(B, dtype=float, copy=True)
     m, n = A.shape
     A.sum_duplicates()
@@ -141,6 +141,8 @@ def _band_plan(B) -> _BandPlan:
 
 def _band_sweep(plan: _BandPlan, weights, f) -> np.ndarray:
     """Coefficients of the weighted problem whose structure ``plan`` holds."""
+    import scipy.linalg
+    from scipy.linalg.lapack import dtpqrt
     m, n = plan.shape
     w, f2, squeeze = _weighted_system(m, weights, f)
     sqrt_w = np.sqrt(w[plan.rows])
@@ -159,7 +161,7 @@ def _band_sweep(plan: _BandPlan, weights, f) -> np.ndarray:
         new[scatter] = vals[p0:p1]
         new = new.reshape((r1 - r0, width + k), order="F")
         new[:, width:] = rhs[r0:r1]
-        top = _tpqrt(0, min(_BLOCK, width + k), top, new, overwrite_a=1, overwrite_b=1)[0]
+        top = dtpqrt(0, min(_BLOCK, width + k), top, new, overwrite_a=1, overwrite_b=1)[0]
         R[j0:hi, j0:hi] = top[:width, :width]
         G[j0:hi] = top[:width, width:]
 
@@ -195,13 +197,15 @@ def weighted_solver(B, P=None, lam: float = 0.0):
     solve forms ``A = 0.5 B^T W B + lam P`` in CSR, packs its upper triangle
     in that order into a band as wide as ``A`` needs and calls
     :func:`scipy.linalg.solveh_banded`; an ``A`` that is not positive
-    definite raises :class:`SingularSystemError`. ``scipy.sparse.csgraph``
-    is imported here, not at start-up.
+    definite raises :class:`SingularSystemError`. scipy, and at ``lam > 0``
+    ``scipy.sparse.csgraph``, is imported here or in ``solve``, not at start-up.
     """
     if not 0 <= lam < math.inf:
         raise ValueError(f"penalty weight must be finite and non-negative, got {lam!r}")
     if lam == 0:
         return functools.partial(_band_sweep, _band_plan(B))
+    import scipy.linalg
+    import scipy.sparse
     from scipy.sparse.csgraph import reverse_cuthill_mckee
 
     B = scipy.sparse.csr_matrix(B, dtype=float)
@@ -318,6 +322,7 @@ def assemble_thin_plate(space) -> np.ndarray:
     for d in space.degrees:
         if d < 2:
             raise ValueError("thin-plate energy needs degree >= 2 in every direction")
+    import scipy.sparse
     h = space if isinstance(space, HierarchicalSpace) else HierarchicalSpace.from_base(space)
 
     centres = np.concatenate([0.5 * (lo + hi) for _, lo, hi in h.leaf_cell_boxes()])

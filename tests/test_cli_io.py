@@ -300,6 +300,27 @@ class TestModelFormat:
             x = rng.uniform(0, 1, 2)
             np.testing.assert_allclose(back.evaluate(x), fn.evaluate(x), atol=1e-12)
 
+    @settings(max_examples=25)
+    @given(data=st.data())
+    def test_random_hierarchical_models_roundtrip_bit_for_bit(self, data, tmp_path_factory):
+        """Values and first derivatives of a read-back model equal the written one's exactly."""
+        degree, cells = data.draw(st.integers(2, 3)), data.draw(st.integers(2, 4))
+        kv = make_open_knot_vector((-1.0, 2.0), degree, uniform_interior((-1.0, 2.0), cells - 1))
+        h = HierarchicalSpace.from_base(SplineSpace([kv, kv]))
+        for lev in range(data.draw(st.integers(1, 2))):
+            inside = [CellId(lev, tuple(ix.tolist())) for ix in np.argwhere(h.domains[lev])]
+            marked = data.draw(st.lists(st.sampled_from(inside), min_size=1, unique=True))
+            h = h.refine(marked, buffer=data.draw(st.booleans()))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        fn = SplineFunction(h, rng.normal(size=(h.dim, 2)))
+        path = tmp_path_factory.mktemp("model") / "h.json"
+        write_model(path, fn)
+        back = read_model(path)
+        sites = np.vstack([rng.uniform(-1.0, 2.0, (40, 2)), [[2.0, 2.0], [-1.0, 2.0]]])
+        for alpha in (None, (1, 0), (0, 1)):
+            np.testing.assert_array_equal(back.evaluate_many(sites, alpha),
+                                          fn.evaluate_many(sites, alpha))
+
     def test_tampered_active_sets_rejected(self, tmp_path):
         kv = make_open_knot_vector((0.0, 1.0), 2, uniform_interior((0.0, 1.0), 3))
         base = SplineSpace([kv, kv])
@@ -704,6 +725,60 @@ class TestStartup:
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_import_loads_no_scipy(self):
+        """Importing the package and the CLI needs numpy alone."""
+        script = (
+            "import sys\n"
+            "import splinefit, splinefit.cli_io\n"
+            "print(' '.join(name for name in sys.modules if name.startswith('scipy')))\n"
+        )
+        proc = fresh_python("-c", script)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stdout.strip() == ""
+
+    def test_sample_never_loads_scipy(self, tmp_path):
+        """A whole ``sample`` of a hierarchical model, derivatives included, runs on numpy."""
+        kv = make_open_knot_vector((0.0, 1.0), 2, uniform_interior((0.0, 1.0), 3))
+        h = HierarchicalSpace.from_base(SplineSpace([kv, kv])).refine(
+            [CellId(0, (0, 0)), CellId(0, (3, 2))], buffer=True
+        )
+        assert h.num_levels == 2
+        model, out = tmp_path / "h.json", tmp_path / "samples.csv"
+        write_model(model, SplineFunction(h, np.random.default_rng(3).normal(size=(h.dim, 1))))
+        script = (
+            "import sys\n"
+            "from splinefit.cli_io import main\n"
+            f"rc = main(['sample', '--model', {str(model)!r}, '--grid', '9x9', '--deriv', '1',\n"
+            f"           '--out', {str(out)!r}])\n"
+            "print(rc, ' '.join(name for name in sys.modules if name.startswith('scipy')))\n"
+        )
+        proc = fresh_python("-c", script)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stdout.splitlines()[-1].strip() == "0"
+        assert len(out.read_text().splitlines()) == 1 + 81
+
+    @pytest.mark.parametrize("command", ["fit", "fit-adaptive", "verify"])
+    def test_every_solve_entry_point_loads_scipy_itself(self, tmp_path, seven_csv, command):
+        """Each command that solves finds its scipy imports in a fresh interpreter, asserts off."""
+        g = np.linspace(-1, 1, 12)
+        X, Y = np.meshgrid(g, g, indexing="ij")
+        sites = np.column_stack([X.ravel(), Y.ravel()])
+        surface = tmp_path / "surf.csv"
+        write_point_cloud(
+            surface, WeightedPointCloud(sites, np.sin(2 * sites[:, 0]) * sites[:, 1]),
+            weights=False, markers=False,
+        )
+        model = str(tmp_path / "model.json")
+        argv = {
+            "fit": ["--cloud", seven_csv, "--knots", "uniform", "--interior-knots", "1",
+                    "--out", model],
+            "fit-adaptive": ["--cloud", str(surface), "--mesh", "4x4", "--eps", "0.05",
+                             "--levels", "2", "--lambda", "1e-6", "--out", model],
+            "verify": ["--cloud", seven_csv],
+        }[command]
+        proc = fresh_python("-O", "-m", "splinefit", command, *argv)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
 
     def test_python_m_splinefit_runs_the_cli(self):
         proc = fresh_python("-W", "error", "-m", "splinefit", "--help")

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from splinefit import (
     CellId,
     HierarchicalSpace,
+    SplineFunction,
     SplineSpace,
     assemble_thin_plate,
     build_hierarchical,
@@ -332,6 +333,64 @@ class TestCollocationHierarchical:
         sparse = collocation_hierarchical(h, sites)
         assert sparse.format == "csr"
         np.testing.assert_array_equal(sparse.toarray(), collocation_matrix(h, sites))
+
+
+def _three_levels_without_level_zero():
+    """Every level-0 cell refined, then one level-1 corner: level 0 keeps no active function."""
+    base = grid_space(3, 3)
+    h = HierarchicalSpace.from_base(base).refine(
+        [CellId(0, (i, j)) for i in range(3) for j in range(3)], buffer=False
+    ).refine([CellId(1, (0, 5)), CellId(1, (1, 5))], buffer=False)
+    assert h.num_levels == 3 and h.active[0].size == 0
+    assert h.active[1].size and h.active[2].size
+    return h
+
+
+def _evaluation_cases():
+    curve = grid_space(3, 5, ndim=1, domain=(-2.0, 3.0))
+    tensor = SplineSpace(
+        [make_open_knot_vector((0.0, 1.0), 3, [0.21, 0.5, 0.9]),
+         make_open_knot_vector((-1.0, 2.0), 2, [0.4])]
+    )
+    alphas = [None, (1, 0), (0, 1), (2, 1)]
+    return [
+        pytest.param(curve, [None, 1, 2, 3], id="curve"),
+        pytest.param(tensor, alphas, id="tensor"),
+        pytest.param(_three_levels_without_level_zero(), alphas, id="hierarchical"),
+    ]
+
+
+class TestEvaluateMany:
+    """The per-level numpy evaluation against the CSR collocation product."""
+
+    @pytest.mark.parametrize("space,alphas", _evaluation_cases())
+    def test_matches_csr_product(self, space, alphas):
+        rng = np.random.default_rng(12)
+        lo = np.array([a for a, _ in space.domain])
+        hi = np.array([b for _, b in space.domain])
+        sites = np.vstack([
+            lo + (hi - lo) * rng.uniform(0, 1, (200, space.ndim)),
+            hi,  # the right domain end, closed
+            np.where(np.arange(space.ndim) == 0, hi, lo),
+            np.where(np.arange(space.ndim) == 0, lo, hi),
+            lo,
+        ])
+        fn = SplineFunction(space, rng.normal(size=(space.dim, 2)))
+        for alpha in alphas:
+            got = fn.evaluate_many(sites, alpha)
+            ref = space.basis_matrix(sites, alpha) @ fn.coefficients
+            scale = np.abs(ref).max(axis=0)
+            assert np.all(np.abs(got - ref) <= 1e-13 * scale), alpha
+
+    @pytest.mark.parametrize("space,alphas", _evaluation_cases())
+    def test_site_outside_domain_raises_as_basis_matrix_does(self, space, alphas):
+        fn = SplineFunction(space, np.ones(space.dim))
+        outside = np.array([[b + 0.5 for _, b in space.domain]])
+        with pytest.raises(ValueError, match="outside domain") as expected:
+            space.basis_matrix(outside)
+        with pytest.raises(ValueError, match="outside domain") as got:
+            fn.evaluate_many(outside)
+        assert str(got.value) == str(expected.value)
 
 
 class TestHierarchicalPenalty:
