@@ -53,9 +53,6 @@ from .spline_core import (
     WeightedPointCloud,
     averaging_knots,
     collocation_matrix,
-    eval_basis,
-    eval_basis_derivatives,
-    greville_abscissae,
     make_open_knot_vector,
     parameterize,
     schoenberg_whitney_admissible,
@@ -102,12 +99,9 @@ __all__ = [
     "decompose",
     "dyadic_refine_space",
     "enumerate_subsets",
-    "eval_basis",
-    "eval_basis_derivatives",
     "evaluate_3peaks",
     "evaluate_test_curves",
     "feature_weighted_sites",
-    "greville_abscissae",
     "init_markers_from_ls",
     "interpolate_subset",
     "irls_solve",

@@ -289,12 +289,15 @@ def _json_array(raw, kinds: str, ndim: int | None = None) -> np.ndarray:
     """A JSON array whose numbers are of the numpy kinds ``kinds`` (``"i"``, ``"if"``).
 
     Raises ``ValueError`` for ``null``, strings, booleans, fractions where
-    integers belong, ragged nesting or a scalar where an array belongs.
+    integers belong, ragged nesting, a scalar where an array belongs, or
+    ``NaN`` and infinities, which Python's ``json`` reads as numbers.
     """
     arr = np.asarray(raw)
     if (arr.dtype.kind not in kinds and arr.size) or (ndim is not None and arr.ndim != ndim):
         expected = "integers" if kinds == "i" else "numbers"
         raise ValueError(f"expected an array of {expected}, got {json.dumps(raw)[:40]}")
+    if arr.dtype.kind == "f" and not np.all(np.isfinite(arr)):
+        raise ValueError(f"expected finite numbers, got {json.dumps(raw)[:40]}")
     return arr
 
 

@@ -4,7 +4,8 @@ Each level is a tensor-product space obtained by dyadic refinement of the
 previous one. Per level, a nested subdomain (a set of that level's cells)
 selects the active basis functions: those whose support lies inside the
 level's subdomain but not entirely inside the next finer one. Active
-functions are numbered level-major, coarsest first.
+functions are numbered level-major, coarsest first. Evaluation maps each
+level's tensor basis rows onto the active columns.
 
 The plain hierarchical basis is used (no truncation), so non-negativity
 holds but partition of unity is not guaranteed; penalized solves cover the
@@ -18,7 +19,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .spline_core import KnotVector, SplineSpace, _as_sites
+from .spline_core import KnotVector, SplineSpace, _as_sites, _RowSpace
 
 __all__ = [
     "CellId",
@@ -88,7 +89,7 @@ def _dilate(mask: np.ndarray) -> np.ndarray:
     return out
 
 
-class HierarchicalSpace:
+class HierarchicalSpace(_RowSpace):
     """Multi-level spline space defined by nested subdomains.
 
     Immutable; :meth:`refine` returns a new space. Construction recomputes
@@ -124,6 +125,10 @@ class HierarchicalSpace:
         sizes = [a.size for a in self.active]
         self.offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.intp)
         self.dim = int(self.offsets[-1])
+        # Per level, the column of each tensor function; ``dim`` if inactive.
+        self._columns = [np.full(space.dim, self.dim, dtype=np.intp) for space in self.levels]
+        for column, act, start in zip(self._columns, self.active, self.offsets):
+            column[act] = np.arange(start, start + act.size)
 
     def _active_sets(self):
         out = []
@@ -227,36 +232,12 @@ class HierarchicalSpace:
     # Evaluation
     # ------------------------------------------------------------------
 
-    def basis_matrix(self, sites, alpha=None) -> scipy.sparse.csr_matrix:
-        """Sparse matrix of the active functions, or their partial derivative ``alpha``, at the sites.
-
-        Each level's tensor matrix restricted to its active columns,
-        stacked level-major: ``hstack_l B_l[:, active_l]``. Loads
-        ``scipy.sparse`` on first call; evaluation needs no matrix.
-        """
-        import scipy.sparse
-        blocks = [
-            space.basis_matrix(sites, alpha)[:, act]
-            for space, act in zip(self.levels, self.active)
-            if act.size
-        ]
-        return scipy.sparse.hstack(blocks, format="csr")
-
-    def _levels_with(self, coefficients):
-        """Per level, its tensor space and ``coefficients`` scattered over all of its functions."""
-        for space, act, start in zip(self.levels, self.active, self.offsets):
-            full = np.zeros((space.dim, coefficients.shape[1]))
-            full[act] = coefficients[start : start + act.size]
-            yield space, full
-
-    def eval_basis(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """Indices and values of the active functions supported at ``x``."""
-        return self.eval_basis_derivatives(x, (0,) * self.ndim)
-
-    def eval_basis_derivatives(self, x, alpha) -> tuple[np.ndarray, np.ndarray]:
-        """Partial derivative ``alpha`` of the active functions supported at ``x``."""
-        row = self.basis_matrix(self.levels[0]._point(x)[None], alpha)
-        return row.indices, row.data
+    def _rows(self, sites, alpha):
+        """Per level with active functions, its tensor rows with the indices mapped to columns."""
+        for space, act, column in zip(self.levels, self.active, self._columns):
+            if act.size:
+                idx, vals = space._tensor_rows(sites, alpha)
+                yield column[idx], vals
 
     # ------------------------------------------------------------------
     # Cells
@@ -291,14 +272,6 @@ class HierarchicalSpace:
             lo = np.stack([kv.breakpoints[i] for kv, i in zip(kvs, index)], axis=-1)
             hi = np.stack([kv.breakpoints[i + 1] for kv, i in zip(kvs, index)], axis=-1)
             yield lev, lo, hi
-
-    def leaf_cell_bounds(self) -> list[tuple[tuple[float, float], ...]]:
-        """Per-direction interval bounds of every leaf cell, in the order of :meth:`leaf_cells`."""
-        return [
-            tuple(zip(a, b))
-            for _, lo, hi in self.leaf_cell_boxes()
-            for a, b in zip(lo.tolist(), hi.tolist())
-        ]
 
 
 def _coarsen_any(mask: np.ndarray) -> np.ndarray:

@@ -5,6 +5,10 @@ collocation matrices, Schoenberg-Whitney admissibility, data parameterization
 and knot placement. Basis indices are 0-based throughout; tensor-product
 functions are numbered lexicographically with the last direction fastest.
 
+Every kind of space yields its basis as per-level rows of locally nonzero
+functions, and basis evaluation, basis matrices and ``evaluate_many`` are
+written once over those rows.
+
 Evaluation convention: the rightmost knot interval is treated as closed, so
 values at the right end of the domain are the limits from the left.
 """
@@ -21,13 +25,10 @@ __all__ = [
     "WeightedPointCloud",
     "SplineFunction",
     "make_open_knot_vector",
-    "eval_basis",
-    "eval_basis_derivatives",
     "collocation_matrix",
     "schoenberg_whitney_admissible",
     "parameterize",
     "averaging_knots",
-    "greville_abscissae",
     "MARKER_PLAIN",
     "MARKER_TYPE_ONE",
     "MARKER_TYPE_TWO",
@@ -61,6 +62,8 @@ class KnotVector:
         t = np.asarray(knots, dtype=float)
         if t.ndim != 1:
             raise ValueError("knots must be a one-dimensional sequence")
+        if not np.all(np.isfinite(t)):
+            raise ValueError("knots must be finite")
         degree = int(degree)
         if degree < 0:
             raise ValueError("degree must be non-negative")
@@ -242,7 +245,71 @@ def uniform_interior(domain: tuple[float, float], count: int) -> np.ndarray:
     return np.linspace(a, b, count + 2)[1:-1]
 
 
-class SplineSpace:
+class _RowSpace:
+    """Basis evaluation written once over a space's ``_rows(sites, alpha)``.
+
+    A space has ``ndim``, ``degrees`` and ``dim``; its ``_rows`` yields per
+    level ``(columns, values)``, each ``(m, prod(order))``: every site's
+    locally nonzero tensor functions of the level and their columns in the
+    space, where column ``dim`` marks a function not in the space.
+    """
+
+    def eval_basis(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """Increasing indices and values of the basis functions supported at ``x``.
+
+        Values are non-negative and, for clamped tensor spaces, sum to one.
+        """
+        return self.eval_basis_derivatives(x, None)
+
+    def eval_basis_derivatives(self, x, alpha) -> tuple[np.ndarray, np.ndarray]:
+        """Partial derivative ``alpha`` (a per-direction multi-index) of the basis at ``x``."""
+        p = np.atleast_1d(np.asarray(x, dtype=float))
+        if p.shape != (self.ndim,):
+            raise ValueError(f"expected a point in R^{self.ndim}, got shape {p.shape}")
+        values, indices, _ = self._csr_arrays(p[None], alpha)
+        return indices, values
+
+    def basis_matrix(self, sites, alpha=None) -> scipy.sparse.csr_matrix:
+        """Sparse ``(m, dim)`` matrix of the basis, or its partial derivative ``alpha``, at the sites.
+
+        Loads ``scipy.sparse`` on first call; evaluation needs no matrix.
+        """
+        import scipy.sparse
+        sites = _as_sites(sites, self.ndim)
+        return scipy.sparse.csr_matrix(
+            self._csr_arrays(sites, alpha), shape=(sites.shape[0], self.dim)
+        )
+
+    def _csr_arrays(self, sites, alpha) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(values, columns, row pointer)`` of the basis at the sites, rows level-major."""
+        levels = list(self._rows(sites, self._multi_index(alpha)))
+        columns = np.hstack([c for c, _ in levels])
+        keep = columns != self.dim
+        indptr = np.zeros(sites.shape[0] + 1, dtype=np.intp)
+        np.cumsum(keep.sum(axis=1), out=indptr[1:])
+        return np.hstack([v for _, v in levels])[keep], columns[keep], indptr
+
+    def _multi_index(self, alpha) -> tuple[int, ...]:
+        if alpha is None:
+            return (0,) * self.ndim
+        if np.isscalar(alpha):
+            if self.ndim != 1:
+                raise ValueError("multi-index required for a multivariate space")
+            alpha = (int(alpha),)
+        alpha = tuple(int(a) for a in np.atleast_1d(alpha))
+        if len(alpha) != self.ndim:
+            raise ValueError(
+                f"multi-index length {len(alpha)} does not match dimension {self.ndim}"
+            )
+        if any(a < 0 for a in alpha):
+            raise ValueError("derivative orders must be non-negative")
+        for a, d in zip(alpha, self.degrees):
+            if a > d:
+                raise ValueError(f"derivative order {a} exceeds degree {d}")
+        return alpha
+
+
+class SplineSpace(_RowSpace):
     """Tensor product of univariate B-spline spaces.
 
     Functions are indexed lexicographically over the per-direction indices
@@ -274,37 +341,9 @@ class SplineSpace:
     def __hash__(self):
         return hash(self.knot_vectors)
 
-    def _point(self, x) -> np.ndarray:
-        p = np.atleast_1d(np.asarray(x, dtype=float))
-        if p.shape != (self.ndim,):
-            raise ValueError(f"expected a point in R^{self.ndim}, got shape {p.shape}")
-        return p
-
-    def eval_basis(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """Indices and values of the locally supported basis functions at ``x``.
-
-        Returns ``(indices, values)``; at most ``prod(order)`` entries, values
-        non-negative and, for clamped spaces, summing to one.
-        """
-        return self.eval_basis_derivatives(x, (0,) * self.ndim)
-
-    def eval_basis_derivatives(self, x, alpha) -> tuple[np.ndarray, np.ndarray]:
-        """Partial derivative ``alpha`` (a per-direction multi-index) of the basis at ``x``."""
-        idx, vals = self._tensor_rows(self._point(x)[None], self._multi_index(alpha))
-        return idx[0], vals[0]
-
-    def basis_matrix(self, sites, alpha=None) -> scipy.sparse.csr_matrix:
-        """Sparse ``(m, dim)`` matrix of the basis, or its partial derivative ``alpha``, at the sites.
-
-        Loads ``scipy.sparse`` on first call; evaluation needs no matrix.
-        """
-        import scipy.sparse
-        idx, vals = self._tensor_rows(_as_sites(sites, self.ndim), self._multi_index(alpha))
-        m, width = idx.shape
-        return scipy.sparse.csr_matrix(
-            (vals.ravel(), idx.ravel(), np.arange(0, m * width + 1, width)),
-            shape=(m, self.dim),
-        )
+    def _rows(self, sites, alpha):
+        """The one level: the tensor rows themselves."""
+        yield self._tensor_rows(sites, alpha)
 
     def _tensor_rows(self, sites, alpha) -> tuple[np.ndarray, np.ndarray]:
         """Per-site flat indices and values, ``(m, prod(order))`` each, as row-wise outer products.
@@ -322,29 +361,6 @@ class SplineSpace:
             vals = (vals[:, :, None] * ders[:, None, a, :]).reshape(m, width)
         return idx, vals
 
-    def _levels_with(self, coefficients):
-        """``(tensor space, coefficients of all its functions)`` per level: here the one level."""
-        return ((self, coefficients),)
-
-    def _multi_index(self, alpha) -> tuple[int, ...]:
-        if alpha is None:
-            return (0,) * self.ndim
-        if np.isscalar(alpha):
-            if self.ndim != 1:
-                raise ValueError("multi-index required for a multivariate space")
-            alpha = (int(alpha),)
-        alpha = tuple(int(a) for a in np.atleast_1d(alpha))
-        if len(alpha) != self.ndim:
-            raise ValueError(
-                f"multi-index length {len(alpha)} does not match dimension {self.ndim}"
-            )
-        if any(a < 0 for a in alpha):
-            raise ValueError("derivative orders must be non-negative")
-        for a, d in zip(alpha, self.degrees):
-            if a > d:
-                raise ValueError(f"derivative order {a} exceeds degree {d}")
-        return alpha
-
     def greville_points(self) -> np.ndarray:
         """Tensor grid of Greville abscissae, one row per basis function."""
         axes = [kv.greville() for kv in self.knot_vectors]
@@ -352,22 +368,8 @@ class SplineSpace:
         return np.stack([g.ravel() for g in grids], axis=-1)
 
 
-def eval_basis(space: SplineSpace, x) -> tuple[np.ndarray, np.ndarray]:
-    """Module-level alias of :meth:`SplineSpace.eval_basis`."""
-    return space.eval_basis(x)
-
-
-def eval_basis_derivatives(space: SplineSpace, x, alpha) -> tuple[np.ndarray, np.ndarray]:
-    """Module-level alias of :meth:`SplineSpace.eval_basis_derivatives`."""
-    return space.eval_basis_derivatives(x, alpha)
-
-
 def collocation_matrix(space, sites) -> np.ndarray:
-    """Dense collocation matrix ``B[i, j] = basis_j(site_i)``.
-
-    Works for tensor-product spaces and any space exposing ``basis_matrix``
-    with the same contract.
-    """
+    """Dense collocation matrix ``B[i, j] = basis_j(site_i)`` of a tensor or hierarchical space."""
     return space.basis_matrix(sites).toarray()
 
 
@@ -526,10 +528,11 @@ class SplineFunction:
     def evaluate_many(self, sites, alpha=None) -> np.ndarray:
         """Values, or partial derivatives ``alpha``, at several points, one row per site."""
         sites = _as_sites(sites, self.space.ndim)
+        # Row ``dim`` is zero: columns outside the space contribute nothing.
+        padded = np.vstack([self.coefficients, np.zeros((1, self.dim_values))])
         out = np.zeros((sites.shape[0], self.dim_values))
-        for level, full in self.space._levels_with(self.coefficients):
-            idx, vals = level._tensor_rows(sites, level._multi_index(alpha))
-            out += np.einsum("mk,mkd->md", vals, full[idx])
+        for columns, values in self.space._rows(sites, self.space._multi_index(alpha)):
+            out += np.einsum("mk,mkd->md", values, padded[columns])
         return out
 
 
@@ -583,8 +586,3 @@ def averaging_knots(sites, n: int, degree: int) -> KnotVector:
     for j in range(1, n - degree):
         interior[j - 1] = s[j : j + degree].mean()
     return make_open_knot_vector((s[0], s[-1]), degree, interior)
-
-
-def greville_abscissae(kv: KnotVector) -> np.ndarray:
-    """Module-level alias of :meth:`KnotVector.greville`."""
-    return kv.greville()

@@ -5,9 +5,12 @@ import pytest
 from hypothesis import settings
 
 from splinefit import (
+    CellId,
+    HierarchicalSpace,
     SplineSpace,
     WeightedPointCloud,
     make_open_knot_vector,
+    uniform_interior,
 )
 
 # Property tests draw the same examples on every run and take as long as they need.
@@ -46,6 +49,17 @@ def seven_cloud(seven_sites, seven_values):
     rng = np.random.default_rng(1234)
     weights = rng.uniform(0.05, 1.0, seven_sites.size)
     return WeightedPointCloud(seven_sites, seven_values, weights)
+
+
+def three_levels_without_level_zero():
+    """Every level-0 cell refined, then one level-1 corner: level 0 keeps no active function."""
+    kv = make_open_knot_vector((0.0, 1.0), 3, uniform_interior((0.0, 1.0), 2))
+    h = HierarchicalSpace.from_base(SplineSpace([kv, kv])).refine(
+        [CellId(0, (i, j)) for i in range(3) for j in range(3)], buffer=False
+    ).refine([CellId(1, (0, 5)), CellId(1, (1, 5))], buffer=False)
+    assert h.num_levels == 3 and h.active[0].size == 0
+    assert h.active[1].size and h.active[2].size
+    return h
 
 
 def normal_equation_solve(B, weights, values):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.interpolate
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,11 +12,11 @@ from splinefit import (
     KnotVector,
     SplineSpace,
     build_hierarchical,
-    collocation_hierarchical,
-    collocation_matrix,
     make_open_knot_vector,
     uniform_interior,
 )
+
+from conftest import three_levels_without_level_zero
 
 # Largest disagreement with scipy's B-spline evaluation, in units of the
 # spacing of doubles at the size of the row's largest entry. Both evaluate
@@ -189,15 +190,35 @@ class TestDomain:
             kv.basis_rows(np.array([0.5]), 3)
 
 
+def _hierarchical_spaces():
+    kv = make_open_knot_vector((0.0, 1.0), 2, uniform_interior((0.0, 1.0), 5))
+    base = SplineSpace([kv, kv])
+    h = build_hierarchical(base, {0: [(1, 1), (1, 2), (4, 4)], 1: [(2, 3), (3, 3)]})
+    h = h.refine([CellId(2, (5, 6))], buffer=True)
+    assert h.num_levels == 4
+    return [
+        pytest.param(h, id="four-levels"),
+        pytest.param(three_levels_without_level_zero(), id="no-level-zero"),
+    ]
+
+
 class TestHierarchicalColumns:
-    def test_collocation_is_tensor_collocation_on_active_columns(self):
-        kv = make_open_knot_vector((0.0, 1.0), 2, uniform_interior((0.0, 1.0), 5))
-        base = SplineSpace([kv, kv])
-        h = build_hierarchical(base, {0: [(1, 1), (1, 2), (4, 4)], 1: [(2, 3), (3, 3)]})
-        h = h.refine([CellId(2, (5, 6))], buffer=True)
-        assert h.num_levels == 4
+    @pytest.mark.parametrize("alpha", [None, (1, 0), (0, 1), (2, 1)])
+    @pytest.mark.parametrize("h", _hierarchical_spaces())
+    def test_collocation_is_tensor_collocation_on_active_columns(self, h, alpha):
+        """The hierarchical matrix is, bit for bit, the levels' active columns side by side."""
         sites = np.random.default_rng(3).uniform(0.0, 1.0, (400, 2))
-        expected = np.hstack(
-            [collocation_matrix(space, sites)[:, act] for space, act in zip(h.levels, h.active)]
+        expected = scipy.sparse.hstack(
+            [level.basis_matrix(sites, alpha)[:, act]
+             for level, act in zip(h.levels, h.active) if act.size],
+            format="csr",
         )
-        np.testing.assert_array_equal(collocation_hierarchical(h, sites).toarray(), expected)
+        got = h.basis_matrix(sites, alpha)
+        assert got.has_canonical_format
+        assert got.data.tobytes() == expected.data.tobytes()
+        np.testing.assert_array_equal(got.indices, expected.indices)
+        np.testing.assert_array_equal(got.indptr, expected.indptr)
+        for x, start, stop in zip(sites, got.indptr[:-1], got.indptr[1:]):
+            idx, vals = h.eval_basis_derivatives(x, alpha)
+            np.testing.assert_array_equal(idx, got.indices[start:stop])
+            assert vals.tobytes() == got.data[start:stop].tobytes()

@@ -758,6 +758,23 @@ class TestStartup:
         assert proc.stdout.splitlines()[-1].strip() == "0"
         assert len(out.read_text().splitlines()) == 1 + 81
 
+    def test_hierarchical_point_evaluation_loads_no_scipy(self):
+        """``eval_basis`` and ``eval_basis_derivatives`` of a refined space build no matrix."""
+        script = (
+            "import sys\n"
+            "from splinefit import CellId, HierarchicalSpace, SplineSpace\n"
+            "from splinefit import make_open_knot_vector\n"
+            "kv = make_open_knot_vector((0.0, 1.0), 2, [0.25, 0.5, 0.75])\n"
+            "h = HierarchicalSpace.from_base(SplineSpace([kv, kv])).refine([CellId(0, (0, 0))])\n"
+            "idx, _ = h.eval_basis([0.1, 0.2])\n"
+            "didx, _ = h.eval_basis_derivatives([0.1, 0.2], (1, 0))\n"
+            "print(h.num_levels, idx.size > 0, didx.size > 0,\n"
+            "      *(name for name in sys.modules if name.startswith('scipy')))\n"
+        )
+        proc = fresh_python("-c", script)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stdout.split() == ["2", "True", "True"]
+
     @pytest.mark.parametrize("command", ["fit", "fit-adaptive", "verify"])
     def test_every_solve_entry_point_loads_scipy_itself(self, tmp_path, seven_csv, command):
         """Each command that solves finds its scipy imports in a fresh interpreter, asserts off."""
@@ -806,10 +823,14 @@ class TestExitCodes:
             lambda doc: doc["active"][0].__setitem__(0, "a"),
             # 0.5 would truncate onto cell 0, already in the subdomain.
             lambda doc: doc["subdomains"][1].append(0.5),
+            # Python's json reads NaN, Infinity and 1e999 as numbers.
+            lambda doc: doc["coefficients"][0].__setitem__(0, float("nan")),
+            lambda doc: doc["coefficients"][0].__setitem__(0, float("inf")),
         ],
         ids=["cell-index-too-large", "cell-index-negative", "decreasing-knots", "negative-degree",
              "null-subdomain-entry", "null-active-entry", "number-for-subdomain-list",
-             "non-numeric-coefficient", "non-numeric-active-entry", "fractional-cell-index"],
+             "non-numeric-coefficient", "non-numeric-active-entry", "fractional-cell-index",
+             "nan-coefficient", "infinite-coefficient"],
     )
     def test_malformed_model_is_io_error(self, tmp_path, capsys, tamper):
         """Model contents no space accepts exit 3 and name the file."""
@@ -827,6 +848,30 @@ class TestExitCodes:
         assert rc == 3
         assert str(path) in capsys.readouterr().err
         assert not out.exists()
+
+    def test_nan_knot_in_model_is_io_error(self, tmp_path, capsys):
+        """A model with a NaN knot is refused, not sampled into ``nan`` rows."""
+        space = SplineSpace(make_open_knot_vector((0.0, 1.0), 2, [0.5]))
+        model = tmp_path / "m.json"
+        write_model(model, SplineFunction(space, np.ones(space.dim)))
+        doc = json.loads(model.read_text())
+        doc["knots"][0][3] = float("nan")
+        model.write_text(json.dumps(doc))
+        out = tmp_path / "s.csv"
+        assert main(["sample", "--model", str(model), "--grid", "5", "--out", str(out)]) == 3
+        assert f"{model}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_knot_is_config_error(self, tmp_path, capsys):
+        x = np.linspace(0.0, 1.0, 30)
+        path = tmp_path / "sine.csv"
+        write_point_cloud(path, WeightedPointCloud(x, np.sin(6.0 * x)))
+        model = tmp_path / "m.json"
+        rc = main(["fit", "--cloud", str(path), "--knots", "0,0,0,nan,1,1,1",
+                   "--out", str(model)])
+        assert rc == 1
+        assert "knots must be finite" in capsys.readouterr().err
+        assert not model.exists()
 
     def test_negative_deriv_is_config_error(self, tmp_path, capsys):
         space = SplineSpace(make_open_knot_vector((0.0, 1.0), 2, [0.5]))

@@ -24,6 +24,8 @@ from splinefit import (
 )
 from splinefit.hierarchical import _dilate
 
+from conftest import three_levels_without_level_zero
+
 
 def grid_space(degree, cells, ndim=2, domain=(0.0, 1.0)):
     kv = make_open_knot_vector(domain, degree, uniform_interior(domain, cells - 1))
@@ -335,17 +337,6 @@ class TestCollocationHierarchical:
         np.testing.assert_array_equal(sparse.toarray(), collocation_matrix(h, sites))
 
 
-def _three_levels_without_level_zero():
-    """Every level-0 cell refined, then one level-1 corner: level 0 keeps no active function."""
-    base = grid_space(3, 3)
-    h = HierarchicalSpace.from_base(base).refine(
-        [CellId(0, (i, j)) for i in range(3) for j in range(3)], buffer=False
-    ).refine([CellId(1, (0, 5)), CellId(1, (1, 5))], buffer=False)
-    assert h.num_levels == 3 and h.active[0].size == 0
-    assert h.active[1].size and h.active[2].size
-    return h
-
-
 def _evaluation_cases():
     curve = grid_space(3, 5, ndim=1, domain=(-2.0, 3.0))
     tensor = SplineSpace(
@@ -356,7 +347,7 @@ def _evaluation_cases():
     return [
         pytest.param(curve, [None, 1, 2, 3], id="curve"),
         pytest.param(tensor, alphas, id="tensor"),
-        pytest.param(_three_levels_without_level_zero(), alphas, id="hierarchical"),
+        pytest.param(three_levels_without_level_zero(), alphas, id="hierarchical"),
     ]
 
 
@@ -418,6 +409,6 @@ class TestHierarchicalPenalty:
             [CellId(0, (0, 0)), CellId(0, (3, 3))], buffer=False
         )
         area = 0.0
-        for (a0, b0), (a1, b1) in h.leaf_cell_bounds():
-            area += (b0 - a0) * (b1 - a1)
+        for _, lo, hi in h.leaf_cell_boxes():
+            area += np.prod(hi - lo, axis=1).sum()
         assert area == pytest.approx(1.0)

@@ -66,11 +66,10 @@ class TestMakeOpenKnotVector:
         kv = KnotVector([0, 0, 0.5, 1, 1], 1)
         assert kv.clamped  # detected from end multiplicities
 
-    def test_greville_alias(self):
-        from splinefit import greville_abscissae
-
-        kv = make_open_knot_vector((0.0, 1.0), 2, [0.5])
-        np.testing.assert_allclose(greville_abscissae(kv), kv.greville())
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_knot_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            KnotVector([0, 0, 0, bad, 1, 1, 1], 2)
 
 
 class TestEvalBasis:

@@ -135,6 +135,6 @@ def test_random_hierarchical_spaces_match_per_cell_reference(data):
     np.testing.assert_array_equal(P, P.T)
     assert np.linalg.norm(P - ref) <= REL_FROBENIUS * np.linalg.norm(ref)
 
-    centres = np.array([[0.5 * (a + b) for a, b in cell] for cell in h.leaf_cell_bounds()])
+    centres = np.vstack([0.5 * (lo + hi) for _, lo, hi in h.leaf_cell_boxes()])
     C = h.basis_matrix(centres)
     np.testing.assert_array_equal(P != 0, (C.T @ C).toarray() != 0)
