@@ -32,6 +32,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import re
 import sys
 
@@ -83,25 +84,29 @@ def _cloud_header(n: int, d: int, has_w: bool, has_marker: bool) -> list[str]:
             + ["w"] * has_w + ["marker"] * has_marker)
 
 
-def _parse_header(fields, path):
-    """``(n, d, has_w, has_marker)`` of a header equal to :func:`_cloud_header` of them."""
+def _parse_header(fields, path, lineno):
+    """``(n, d, has_w, has_marker)`` of a header equal to :func:`_cloud_header` of them.
+
+    Errors name the header's line ``lineno`` of ``path``.
+    """
     fields = list(fields)
+    where = f"{path}:{lineno}"
     tail = list(itertools.dropwhile(re.compile(r"[xf]\d+").fullmatch, fields))
     has_w = tail[:1] == ["w"]
     has_marker = tail[has_w:][:1] == ["marker"]
     if tail[has_w + has_marker :]:
-        raise PointCloudFormatError(f"{path}:1: unexpected column {tail[has_w + has_marker]!r}")
+        raise PointCloudFormatError(f"{where}: unexpected column {tail[has_w + has_marker]!r}")
     head = fields[: len(fields) - len(tail)]
     xs, fs = ([f for f in head if f[0] == axis] for axis in "xf")
     if not xs or not fs:
-        raise PointCloudFormatError(f"{path}:1: need x1.. and f1.. columns")
+        raise PointCloudFormatError(f"{where}: need x1.. and f1.. columns")
     header = _cloud_header(len(xs), len(fs), has_w, has_marker)
     for names, want in ((xs, header[: len(xs)]), (fs, header[len(xs) : len(head)])):
         if names != want:
             raise PointCloudFormatError(
-                f"{path}:1: {want[0][0]} columns must be {want[0]}..{want[-1]} in order")
+                f"{where}: {want[0][0]} columns must be {want[0]}..{want[-1]} in order")
     if fields != header:
-        raise PointCloudFormatError(f"{path}:1: columns must be in the order {','.join(header)}")
+        raise PointCloudFormatError(f"{where}: columns must be in the order {','.join(header)}")
     return len(xs), len(fs), has_w, has_marker
 
 
@@ -151,7 +156,8 @@ def _read_bulk(text, path):
     if h is None:
         return None
     try:
-        n, d, has_w, has_marker = _parse_header([f.strip() for f in lines[h].split(",")], path)
+        n, d, has_w, has_marker = _parse_header([f.strip() for f in lines[h].split(",")],
+                                                path, h + 1)
     except PointCloudFormatError:
         return None
     width = n + d + has_w + has_marker
@@ -196,13 +202,15 @@ def _read_lines(path) -> WeightedPointCloud:
     n = d = 0
     has_w = has_marker = False
     with open(path, newline="", encoding="utf-8") as handle:
-        for lineno, row in enumerate(csv.reader(handle), start=1):
+        reader = csv.reader(handle)
+        for row in reader:
+            lineno = reader.line_num  # a quoted field may span lines: name the last
             if not row or (row[0].lstrip().startswith("#")):
                 continue
             fields = [f.strip() for f in row]
             if header is None:
                 header = fields
-                n, d, has_w, has_marker = _parse_header(fields, path)
+                n, d, has_w, has_marker = _parse_header(fields, path, lineno)
                 continue
             expected = n + d + has_w + has_marker
             if len(fields) != expected:
@@ -347,8 +355,10 @@ def _write_report(path, report: FitReport) -> None:
     """One row per :class:`IterationRecord`, its fields as the columns."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         out = csv.writer(handle)
-        out.writerow(field.name for field in dataclasses.fields(IterationRecord))
-        out.writerows([_fmt(v) if isinstance(v, float) else v for v in dataclasses.astuple(r)]
+        names = [field.name for field in dataclasses.fields(IterationRecord)]
+        out.writerow(names)
+        fields = operator.attrgetter(*names)  # astuple would deep-copy every field
+        out.writerows([_fmt(v) if isinstance(v, float) else v for v in fields(r)]
                       for r in report.records)
 
 

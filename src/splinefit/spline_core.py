@@ -283,11 +283,14 @@ class _RowSpace:
     def _csr_arrays(self, sites, alpha) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(values, columns, row pointer)`` of the basis at the sites, rows level-major."""
         levels = list(self._rows(sites, self._multi_index(alpha)))
-        columns = np.hstack([c for c, _ in levels])
+        columns, values = levels[0] if len(levels) == 1 else map(np.hstack, zip(*levels))
         keep = columns != self.dim
+        if keep.all():  # no sentinel (always so in a tensor space): every row is full
+            return values.ravel(), columns.ravel(), np.arange(
+                0, columns.size + 1, columns.shape[1], dtype=np.intp)
         indptr = np.zeros(sites.shape[0] + 1, dtype=np.intp)
         np.cumsum(keep.sum(axis=1), out=indptr[1:])
-        return np.hstack([v for _, v in levels])[keep], columns[keep], indptr
+        return values[keep], columns[keep], indptr
 
     def _multi_index(self, alpha) -> tuple[int, ...]:
         if alpha is None:

@@ -5,14 +5,17 @@ work on its CSR form; neither densifies it. The unpenalized solver factors
 ``sqrt(W) B c = sqrt(W) f`` by a banded block Householder QR that keeps only
 the triangle ``R``, shared across value components. The penalized solver
 forms its normal matrix ``0.5 B^T W B + lam P`` in CSR, renumbers the
-unknowns in the reverse Cuthill-McKee order of ``P``'s pattern, which holds
-that of ``B^T B``, and factors the upper band by a banded Cholesky.
+unknowns in the reverse Cuthill-McKee order of ``P``'s pattern and factors
+the upper band by a banded Cholesky.
 
 Reweighting loops solve on one ``B`` with ever new weights.
 :func:`weighted_solver` does the work that depends on ``B`` and ``P`` alone
 once (the CSR copies, the orders, the QR's block layout) and returns a
 ``solve(weights, f)`` that pays only for what the weights change;
-:func:`solve_wls` and :func:`solve_penalized_wls` are one such solve.
+:func:`solve_wls` and :func:`solve_penalized_wls` are one such solve. When
+only some rows' weights change, :func:`_fold_rows` folds the others into a
+triangle once, and the solver of the triangle stacked on the changing rows
+gives the same coefficients up to rounding.
 scipy is imported by the functions that use it, at the first solve or
 energy assembly: importing, reading and evaluating a model need numpy alone.
 """
@@ -104,10 +107,6 @@ def _band_plan(B) -> _BandPlan:
     A.eliminate_zeros()
     counts = np.diff(A.indptr)
     rows = np.flatnonzero(counts)
-    if rows.size < n:
-        raise RankDeficiencyError(
-            f"underdetermined system: {n} unknowns, {rows.size} nonzero rows"
-        )
 
     # Column order: by the first row, in order of first column, touching it.
     rank_of = np.empty(m, dtype=np.intp)
@@ -139,12 +138,15 @@ def _band_plan(B) -> _BandPlan:
     return _BandPlan((m, n), pos, rows, A.data, counts, tuple(blocks))
 
 
-def _band_sweep(plan: _BandPlan, weights, f) -> np.ndarray:
-    """Coefficients of the weighted problem whose structure ``plan`` holds."""
-    import scipy.linalg
+def _band_factor(plan: _BandPlan, w, f2) -> tuple[np.ndarray, np.ndarray]:
+    """The banded QR sweep: triangle ``R`` and values ``G`` of ``sqrt(W) B c = sqrt(W) f``.
+
+    ``R^T R = B^T W B`` and ``R^T G = B^T W f``, columns in ``plan.pos``
+    order, for the validated weights ``w`` and values ``f2``. Neither rank
+    nor the number of rows is judged.
+    """
     from scipy.linalg.lapack import dtpqrt
-    m, n = plan.shape
-    w, f2, squeeze = _weighted_system(m, weights, f)
+    n = plan.shape[1]
     sqrt_w = np.sqrt(w[plan.rows])
     vals = plan.data * np.repeat(sqrt_w, plan.counts)
     rhs = f2[plan.rows] * sqrt_w[:, None]
@@ -164,7 +166,15 @@ def _band_sweep(plan: _BandPlan, weights, f) -> np.ndarray:
         top = dtpqrt(0, min(_BLOCK, width + k), top, new, overwrite_a=1, overwrite_b=1)[0]
         R[j0:hi, j0:hi] = top[:width, :width]
         G[j0:hi] = top[:width, width:]
+    return R, G
 
+
+def _band_sweep(plan: _BandPlan, weights, f) -> np.ndarray:
+    """Coefficients of the weighted problem whose structure ``plan`` holds."""
+    import scipy.linalg
+    m, n = plan.shape
+    w, f2, squeeze = _weighted_system(m, weights, f)
+    R, G = _band_factor(plan, w, f2)
     diag = np.abs(np.diagonal(R))
     if not np.all(np.isfinite(diag)):
         raise NumericError("triangular factor is not finite (the weighted system overflows)")
@@ -173,6 +183,30 @@ def _band_sweep(plan: _BandPlan, weights, f) -> np.ndarray:
         raise RankDeficiencyError(f"collocation matrix has numerical rank {rank} < {n}")
     c = scipy.linalg.solve_triangular(R, G, check_finite=False)
     return _finite(c[plan.pos], squeeze)
+
+
+def _fold_rows(B, weights, f):
+    """``(R, G)``: the rows of ``sqrt(W) B`` and ``sqrt(W) f`` folded into a triangle.
+
+    ``R`` is CSR in ``B``'s column numbering with ``R^T R = B^T W B``, ``G``
+    the matching rows of values with ``R^T G = B^T W f`` (``f`` of shape
+    ``(m, k)``); rows of the triangle that are zero are left out. By
+    orthogonal invariance ``[R; sqrt(W') B']`` has the QR triangle of
+    ``[sqrt(W) B; sqrt(W') B']`` (Golub & Van Loan, §6.5), so rows whose
+    weights stay fixed are factored once and each solve sweeps only ``R``
+    and the rows that vary. A rank-deficient or underdetermined block folds
+    like any other: only the solve of the whole system judges the rank.
+    Raises :class:`NumericError` when the triangle or values overflow.
+    """
+    import scipy.sparse
+    plan = _band_plan(B)
+    w, f2, _ = _weighted_system(plan.shape[0], weights, f)
+    R, G = _band_factor(plan, w, f2)
+    if not (np.all(np.isfinite(R)) and np.all(np.isfinite(G))):
+        raise NumericError("triangular factor is not finite (the weighted system overflows)")
+    R = R[:, plan.pos]
+    keep = np.flatnonzero(R.any(axis=1))
+    return scipy.sparse.csr_matrix(R[keep]), G[keep]
 
 
 def weighted_solver(B, P=None, lam: float = 0.0):
@@ -192,10 +226,12 @@ def weighted_solver(B, P=None, lam: float = 0.0):
 
     At ``lam > 0`` this builds the CSR copies of ``B``, ``B^T`` and ``lam P``
     (``P`` dense or sparse) and the reverse Cuthill-McKee order of ``P``'s
-    pattern, which holds that of ``B^T W B`` when ``P`` is the energy of
-    ``B``'s space (both pair the functions whose supports overlap). Each
-    solve forms ``A = 0.5 B^T W B + lam P`` in CSR, packs its upper triangle
-    in that order into a band as wide as ``A`` needs and calls
+    pattern. That pattern holds the one of ``B^T W B`` when ``B`` is a
+    collocation matrix of ``P``'s space (both pair the functions whose
+    supports overlap), but not when ``B`` holds a folded triangle, whose
+    rows fill in. Each solve forms ``A = 0.5 B^T W B + lam P`` in CSR, packs
+    its upper triangle in that order into a band as wide as ``A`` needs
+    (so fill-in widens the band but never changes the result) and calls
     :func:`scipy.linalg.solveh_banded`; an ``A`` that is not positive
     definite raises :class:`SingularSystemError`. scipy, and at ``lam > 0``
     ``scipy.sparse.csgraph``, is imported here or in ``solve``, not at start-up.
@@ -203,7 +239,13 @@ def weighted_solver(B, P=None, lam: float = 0.0):
     if not 0 <= lam < math.inf:
         raise ValueError(f"penalty weight must be finite and non-negative, got {lam!r}")
     if lam == 0:
-        return functools.partial(_band_sweep, _band_plan(B))
+        plan = _band_plan(B)
+        n = plan.shape[1]
+        if plan.rows.size < n:
+            raise RankDeficiencyError(
+                f"underdetermined system: {n} unknowns, {plan.rows.size} nonzero rows"
+            )
+        return functools.partial(_band_sweep, plan)
     import scipy.linalg
     import scipy.sparse
     from scipy.sparse.csgraph import reverse_cuthill_mckee

@@ -1,6 +1,8 @@
 """File formats, CLI commands, exit codes."""
 
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
@@ -265,6 +267,71 @@ class TestBulkPointCloudReader:
         else:
             with pytest.raises(PointCloudFormatError, match=message):
                 read_point_cloud(path)
+
+    def test_line_numbers_count_the_lines_of_a_quoted_field(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text('x1,f1\n"0.5\n",1\n0.7,x\n')
+        with pytest.raises(PointCloudFormatError, match="bad.csv:4: could not convert"):
+            read_point_cloud(path)
+
+
+# Fields every reader refuses, by the column they stand in.
+_REFUSED = {"number": ["x", "", " ", ".", "1e", "1.2.3", "0x1", "nan", "inf", "-inf", "1e999"],
+            "w": ["0", "-1", "0.0", "-0", "1e-400", "x", "inf"],
+            "marker": ["3", "-1", "1.0", "01", "+1", "1e0", "", "x"]}
+_REFUSED_HEADERS = ["f1,x1", "x1,f1,q", "x2,f1", "x1", "f1", "x1,x1,f1", "x1,f1,marker,w",
+                    "x1,f1,w,w", "x1,f2", "x 1,f1"]
+# Unlike _NUMBERS, never rounded to inf by the format ("%.3e" of the largest floats).
+_PLAIN_NUMBERS = st.builds(lambda fmt, v: fmt % v, st.sampled_from(["%.17g", "%r", "%.3e", "%g"]),
+                           st.floats(-1e6, 1e6))
+
+
+@st.composite
+def _flawed_csv_texts(draw):
+    """``(text, line)``: a point-cloud CSV with one flaw every reader refuses, on ``line``,
+    behind harmless blank and comment lines anywhere."""
+    n, d = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    names = ([f"x{i}" for i in range(1, n + 1)] + [f"f{i}" for i in range(1, d + 1)]
+             + ["w"] * draw(st.booleans()) + ["marker"] * draw(st.booleans()))
+    fields = {"w": st.floats(1e-300, 1e300).map(repr), "marker": st.sampled_from("012")}
+    rows = [[draw(fields.get(name, _PLAIN_NUMBERS)) for name in names]
+            for _ in range(draw(st.integers(1, 5)))]
+    flaw = draw(st.sampled_from(["header", "field", "count"]))
+    at = 0 if flaw == "header" else draw(st.integers(1, len(rows)))
+    if flaw == "field":
+        column = draw(st.integers(0, len(names) - 1))
+        rows[at - 1][column] = draw(st.sampled_from(_REFUSED.get(names[column],
+                                                                 _REFUSED["number"])))
+    elif flaw == "count":
+        rows[at - 1] = rows[at - 1][:-1] if draw(st.booleans()) else rows[at - 1] + ["0"]
+    header = draw(st.sampled_from(_REFUSED_HEADERS)) if flaw == "header" else ",".join(names)
+    lines = [header] + [",".join(row) for row in rows]
+    harmless = st.sampled_from(["", "# note", "  # indented, note"])
+    for _ in range(draw(st.integers(0, 2))):
+        where = draw(st.integers(0, len(lines)))
+        lines.insert(where, draw(harmless))
+        at += where <= at
+    lead = draw(st.lists(harmless, max_size=2))
+    lines, at = lead + lines, at + len(lead)
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline])), at + 1
+
+
+class TestMalformedCloudThroughCli:
+    @settings(max_examples=40)
+    @given(case=_flawed_csv_texts(), command=st.sampled_from(
+        [["fit", "--interior-knots", "1"], ["verify"],
+         ["fit-adaptive", "--mesh", "2x2", "--eps", "1e-3"]]))
+    def test_names_the_flawed_line_without_a_traceback(self, case, command, tmp_path_factory):
+        text, line = case
+        path = tmp_path_factory.mktemp("cli-fuzz") / "cloud.csv"
+        path.write_bytes(text.encode("utf-8"))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main([command[0], "--cloud", str(path), *command[1:]])
+        assert rc == 3
+        assert err.getvalue().startswith(f"error: {path}:{line}: ")
+        assert "Traceback" not in err.getvalue()
 
 
 class TestModelFormat:

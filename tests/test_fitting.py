@@ -4,15 +4,19 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import splinefit.wls
 from splinefit import (
     FitConfig,
     NumericError,
+    RankDeficiencyError,
     SplineSpace,
     StagnationError,
     WeightedPointCloud,
     adaptive_rwls_fit,
+    assemble_thin_plate,
     averaging_knots,
     collocation_matrix,
     curve_point_cloud,
@@ -22,6 +26,7 @@ from splinefit import (
     init_markers_from_ls,
     make_open_knot_vector,
     rwls_fit,
+    solve_penalized_wls,
     solve_wls,
     top_gradient_markers,
     uniform_interior,
@@ -199,17 +204,23 @@ class TestRwlsFit:
     def test_collocation_is_planned_once_per_fit(
         self, quad_spline_space, seven_sites, seven_values, monkeypatch
     ):
-        """Every reweighting solve of one fit reuses the plan of its one matrix."""
+        """Reweighting solves reuse their plans: a fit plans as often at 5 solves as at 20,
+        and all of ``B`` at most once."""
         plans = []
         plan = splinefit.wls._band_plan
         monkeypatch.setattr(splinefit.wls, "_band_plan", lambda B: plans.append(B) or plan(B))
         markers = np.zeros(7, dtype=int)
         markers[[3, 4]] = 1
         cloud = WeightedPointCloud(seven_sites, seven_values, markers=markers)
+        config = FitConfig(tol_i=1e-8, tol_ii=float("inf"), max_iter=5)
+        rwls_fit(quad_spline_space, cloud, config)
+        planned_at_5 = len(plans)
+        plans.clear()
         config = FitConfig(tol_i=1e-8, tol_ii=float("inf"), max_iter=20)
         report = rwls_fit(quad_spline_space, cloud, config)
         assert report.iterations > 5
-        assert len(plans) == 1
+        assert len(plans) == planned_at_5
+        assert sum(B.shape[0] == cloud.m for B in plans) <= 1
         monkeypatch.undo()
         assert rwls_fit(quad_spline_space, cloud, config).records == report.records
 
@@ -230,6 +241,109 @@ class TestRwlsFit:
             warnings.simplefilter("error")
             with pytest.raises(NumericError, match="weight update leaves the floating-point range"):
                 rwls_fit(space, cloud, config)
+
+
+def reference_rwls(space, cloud, config):
+    """``rwls_fit``'s loop with every solve on all of ``B``.
+
+    Returns the coefficients, the iteration count and the termination.
+    """
+    B = space.basis_matrix(cloud.sites)
+    P = assemble_thin_plate(space) if config.lam > 0 else None
+    w = cloud.weights.copy()
+    k1, k2 = np.sort(cloud.type_one), np.sort(cloud.type_two)
+    not_k2 = np.ones(cloud.m, dtype=bool)
+    not_k2[k2] = False
+    for iteration in range(1, config.max_iter + 1):
+        c = solve_penalized_wls(B, w, cloud.values, P, config.lam)
+        e = np.linalg.norm(B @ c - cloud.values, axis=1)
+        met_i = not k1.size or e[k1].max() <= config.tol_i
+        if met_i and (not not_k2.any() or e[not_k2].max() <= config.tol_ii):
+            return c, iteration, "tolerance"
+        upd1, upd2 = k1[e[k1] > config.tol_i], k2[e[k2] < config.tol_ii]
+        if not upd1.size and not upd2.size:
+            return c, iteration, "stalled"
+        w = update_weights(e, w, upd1, upd2, config.alpha_mode, config.rho, config.delta)
+    return c, config.max_iter, "max_iter"
+
+
+def assert_matches_reference(space, cloud, config, rtol):
+    report = rwls_fit(space, cloud, config)
+    c, iterations, termination = reference_rwls(space, cloud, config)
+    assert (report.iterations, report.termination) == (iterations, termination)
+    got = report.function.coefficients
+    assert np.abs(got - c).max() <= rtol * np.abs(c).max()
+
+
+@st.composite
+def folded_fits(draw, tensor, kind, lam):
+    """A curve or tensor space, well-spread jittered sites, 1 or 2 value columns (smooth,
+    perhaps noisy), markers of the given kind and a fit configuration with penalty ``lam``."""
+    degree = draw(st.integers(2, 3))
+    cells = draw(st.integers(1, 3 if tensor else 8))
+    kv = make_open_knot_vector((0.0, 1.0), degree, uniform_interior((0.0, 1.0), cells - 1))
+    space = SplineSpace([kv, kv] if tensor else kv)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    per_axis = 2 * kv.dim if tensor else 4 * kv.dim
+    axis = (np.arange(per_axis) + rng.uniform(0.1, 0.9, per_axis)) / per_axis
+    sites = np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2) if tensor else axis
+    m = per_axis**space.ndim
+    k, noise = draw(st.integers(1, 2)), draw(st.sampled_from([0.0, 0.1]))
+    t = sites @ [1.0, 2.0 / 3.0] if tensor else sites
+    values = np.outer(np.cos(3.0 * t), [1.0, -0.5][:k]) + noise * rng.normal(size=(m, k))
+    marked = {"none": np.zeros(m, dtype=bool),
+              "all": np.ones(m, dtype=bool),
+              "one": np.arange(m) == rng.integers(m),
+              "starve": rng.permutation(m) >= space.dim - 1,
+              "some": rng.uniform(size=m) < 0.2}[kind]
+    markers = np.where(marked, rng.integers(1, 3, m), 0)
+    cloud = WeightedPointCloud(sites, values, rng.uniform(0.5, 2.0, m), markers)
+    config = FitConfig(tol_i=draw(st.sampled_from([1e-5, 0.05, 1.0])),
+                       tol_ii=draw(st.sampled_from([1e-3, 0.3, float("inf")])),
+                       lam=lam, max_iter=6,
+                       alpha_mode=draw(st.sampled_from(["error_driven", "fixed_factor"])))
+    return space, cloud, config
+
+
+class TestFoldedRwlsFit:
+    """``rwls_fit`` folds the unmarked rows into a triangle once; it must fit what the
+    reweighting loop on all of ``B`` fits."""
+
+    # "starve" marks all but dim - 1 sites: the unmarked block is underdetermined.
+    @pytest.mark.parametrize("kind", ["none", "all", "one", "starve", "some"])
+    @pytest.mark.parametrize("lam", [0.0, 1e-3])
+    @pytest.mark.parametrize("tensor", [False, True], ids=["curve", "tensor"])
+    @settings(max_examples=2)
+    @given(data=st.data())
+    def test_matches_solves_on_all_rows(self, tensor, lam, kind, data):
+        space, cloud, config = data.draw(folded_fits(tensor, kind, lam))
+        assert_matches_reference(space, cloud, config, 1e-10 if lam > 0 else 1e-12)
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-3])
+    def test_rank_deficient_unmarked_block_completed_by_markers(self, lam):
+        """The first function lives on the first of four spans; marking every site there
+        leaves the unmarked rows without it, yet the whole problem is well posed."""
+        kv = make_open_knot_vector((0.0, 1.0), 3, uniform_interior((0.0, 1.0), 3))
+        space = SplineSpace(kv)
+        sites = np.linspace(0.0, 1.0, 41)
+        markers = np.where(sites < 0.25, 1, 0)
+        B = space.basis_matrix(sites)
+        unmarked = B[markers == 0]
+        assert unmarked.shape[0] >= space.dim and not unmarked[:, 0].count_nonzero()
+        cloud = WeightedPointCloud(sites, np.abs(sites - 0.1), markers=markers)
+        config = FitConfig(tol_i=1e-6, tol_ii=float("inf"), lam=lam, max_iter=8)
+        assert_matches_reference(space, cloud, config, 1e-10 if lam > 0 else 1e-12)
+
+    @pytest.mark.parametrize("marked", [[], [2, 5], list(range(30))], ids=["none", "some", "all"])
+    def test_deficient_collocation_still_raises(self, marked):
+        """No site reaches the functions of the right half: no marker can make up for that."""
+        kv = make_open_knot_vector((0.0, 1.0), 2, uniform_interior((0.0, 1.0), 5))
+        sites = np.linspace(0.0, 0.4, 30)
+        markers = np.zeros(30, dtype=int)
+        markers[marked] = 1
+        cloud = WeightedPointCloud(sites, np.sin(9.0 * sites), markers=markers)
+        with pytest.raises(RankDeficiencyError):
+            rwls_fit(SplineSpace(kv), cloud, FitConfig(tol_i=1e-6, max_iter=4))
 
 
 class TestInitMarkers:
