@@ -321,6 +321,7 @@ def read_model(path) -> SplineFunction:
         knots = [_json_array(t, "if", 1) for t in doc["knots"]]
         coefficients = _json_array(doc["coefficients"], "if").astype(float)
         cell_lists = [_json_array(c, "i", 1) for c in doc.get("subdomains", [])]
+        levels = doc.get("levels")
         stored = [_json_array(a, "i", 1).tolist() for a in doc.get("active", [])]
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"{path}: missing or malformed field: {exc}") from None
@@ -330,11 +331,17 @@ def read_model(path) -> SplineFunction:
         raise ModelFormatError(f"{path}: unknown model kind {kind!r}")
     if kind == "hierarchical" and not cell_lists:
         raise ModelFormatError(f"{path}: hierarchical model without subdomains")
+    if kind == "hierarchical" and (type(levels) is not int or levels != len(cell_lists)):
+        raise ModelFormatError(f"{path}: levels must be the integer {len(cell_lists)}, one per "
+                               f"subdomain list, got {json.dumps(levels)[:40]}")
     # Knots, degrees, subdomains or coefficients no space accepts are a
     # malformed file, not a usage error.
     try:
         space = SplineSpace([KnotVector(t.astype(float), d) for t, d in zip(knots, degrees)])
         if kind == "hierarchical":
+            cells = math.prod(kv.num_cells for kv in space.knot_vectors)
+            if not np.array_equal(cell_lists[0], np.arange(cells)):
+                raise ValueError(f"the level-0 subdomain must list every cell 0..{cells - 1}")
             space = HierarchicalSpace.from_subdomains(space, cell_lists[1:])
         fn = SplineFunction(space, coefficients)
     except ValueError as exc:

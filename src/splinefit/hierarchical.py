@@ -61,23 +61,16 @@ def _function_cell_ranges(kv: KnotVector) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _window_all(mask: np.ndarray, los, his) -> np.ndarray:
-    """For every per-direction index combination, whether the box ``[lo, hi)`` is all True."""
-    cum = mask.astype(np.int64)
-    for axis in range(mask.ndim):
-        cum = np.cumsum(cum, axis=axis)
-    padded = np.zeros(tuple(s + 1 for s in cum.shape), dtype=np.int64)
-    padded[tuple(slice(1, None) for _ in range(mask.ndim))] = cum
+    """For every per-direction index combination, whether the box ``[lo, hi)`` is all True.
 
-    total = np.zeros(tuple(lo.size for lo in los), dtype=np.int64)
-    ndim = mask.ndim
-    for corner in itertools.product((0, 1), repeat=ndim):
-        pick = [his[d] if corner[d] else los[d] for d in range(ndim)]
-        sign = (-1) ** (ndim - sum(corner))
-        total += sign * padded[np.ix_(*pick)]
-    volume = (his[0] - los[0]).astype(np.int64)
-    for lo, hi in zip(los[1:], his[1:]):
-        volume = np.multiply.outer(volume, hi - lo)
-    return total == volume
+    Axis by axis, a prefix count turns each window into a difference.
+    """
+    out = mask
+    for lo, hi in zip(los, his):
+        count = np.cumsum(out, axis=0)
+        count = np.concatenate([np.zeros_like(count[:1]), count])
+        out = np.moveaxis(count[hi] - count[lo], 0, -1) == hi - lo
+    return out
 
 
 def _dilate(mask: np.ndarray) -> np.ndarray:
@@ -114,12 +107,18 @@ class HierarchicalSpace(_RowSpace):
                 raise ValueError(
                     f"level {lev} mask shape {mask.shape} does not match cells {expected}"
                 )
+        # Per level, the cells whose children make up the next subdomain; the
+        # finest level hands on none.
+        self._handed = [_coarsen_any(finer) for finer in self.domains[1:]]
+        self._handed.append(np.zeros_like(self.domains[-1]))
         for lev in range(1, len(self.domains)):
-            if not self.domains[lev].any():
+            parents = self._handed[lev - 1]
+            if not parents.any():
                 raise ValueError(f"level {lev} subdomain is empty")
-            parents = _coarsen_any(self.domains[lev])
             if np.any(parents & ~self.domains[lev - 1]):
                 raise ValueError(f"level {lev} subdomain escapes level {lev - 1}")
+            if np.any(_expand_children(parents) != self.domains[lev]):
+                raise ValueError(f"level {lev} subdomain splits a level-{lev - 1} cell")
 
         self.active = tuple(self._active_sets())
         sizes = [a.size for a in self.active]
@@ -131,22 +130,12 @@ class HierarchicalSpace(_RowSpace):
             column[act] = np.arange(start, start + act.size)
 
     def _active_sets(self):
-        out = []
-        for lev, space in enumerate(self.levels):
-            ranges = [_function_cell_ranges(kv) for kv in space.knot_vectors]
-            los = [r[0] for r in ranges]
-            his = [r[1] for r in ranges]
-            own = _window_all(self.domains[lev], los, his)
-            if lev + 1 < len(self.domains):
-                child = _window_all(
-                    self.domains[lev + 1],
-                    [2 * lo for lo in los],
-                    [2 * hi for hi in his],
-                )
-            else:
-                child = np.zeros_like(own)
-            out.append(np.flatnonzero(own & ~child).astype(np.intp))
-        return out
+        # A support is a union of whole level-l cells, so "inside the next
+        # subdomain" is "inside the handed cells" at the level's own resolution.
+        for space, own, handed in zip(self.levels, self.domains, self._handed):
+            los, his = zip(*(_function_cell_ranges(kv) for kv in space.knot_vectors))
+            inside = _window_all(own, los, his) & ~_window_all(handed, los, his)
+            yield np.flatnonzero(inside).astype(np.intp)
 
     @classmethod
     def from_base(cls, space: SplineSpace) -> "HierarchicalSpace":
@@ -244,21 +233,11 @@ class HierarchicalSpace(_RowSpace):
     # ------------------------------------------------------------------
 
     def _leaf_masks(self):
-        for lev in range(len(self.levels)):
-            mask = self.domains[lev]
-            if lev + 1 < len(self.domains):
-                subdivided = ~_coarsen_any(~self.domains[lev + 1])
-            else:
-                subdivided = np.zeros_like(mask)
-            yield lev, mask & ~subdivided
+        return [own & ~handed for own, handed in zip(self.domains, self._handed)]
 
     def leaf_cells(self) -> list[CellId]:
         """Cells of the tessellation, each covering its region exactly once."""
-        out = []
-        for lev, mask in self._leaf_masks():
-            for flat in np.flatnonzero(mask.ravel()):
-                out.append(CellId(lev, tuple(np.unravel_index(flat, mask.shape))))
-        return out
+        return _cell_ids(self._leaf_masks())
 
     def leaf_cell_boxes(self):
         """Per level, ``(level, lo, hi)``: the lower and upper corners of its leaf cells.
@@ -266,12 +245,18 @@ class HierarchicalSpace(_RowSpace):
         ``lo`` and ``hi`` have shape ``(cells, ndim)``, rows in the order of
         :meth:`leaf_cells`; a level without leaf cells gives zero rows.
         """
-        for lev, mask in self._leaf_masks():
+        for lev, mask in enumerate(self._leaf_masks()):
             index = np.nonzero(mask)
             kvs = self.levels[lev].knot_vectors
             lo = np.stack([kv.breakpoints[i] for kv, i in zip(kvs, index)], axis=-1)
             hi = np.stack([kv.breakpoints[i + 1] for kv, i in zip(kvs, index)], axis=-1)
             yield lev, lo, hi
+
+
+def _cell_ids(masks) -> list[CellId]:
+    """The True cells of per-level masks as ``CellId`` values, sorted by level, then index."""
+    return [CellId(lev, tuple(index))
+            for lev, mask in enumerate(masks) for index in np.argwhere(mask).tolist()]
 
 
 def _coarsen_any(mask: np.ndarray) -> np.ndarray:
@@ -309,17 +294,16 @@ def mark_cells(h: HierarchicalSpace, sites, errors, eps: float) -> list[CellId]:
     if errors.shape != (sites.shape[0],):
         raise ValueError("errors must align with sites")
     pending = sites[errors > eps]
-    marked = set()
+    marked = [np.zeros_like(mask) for mask in h.domains]
     # A site's leaf is its cell on the finest level whose subdomain holds it.
     for lev in range(h.num_levels - 1, -1, -1):
         index = tuple(
             kv.cell_of(x) for kv, x in zip(h.levels[lev].knot_vectors, pending.T)
         )
         inside = h.domains[lev][index]
-        for cell in zip(*(i[inside].tolist() for i in index)):
-            marked.add(CellId(lev, cell))
+        marked[lev][tuple(i[inside] for i in index)] = True
         pending = pending[~inside]
-    return sorted(marked)
+    return _cell_ids(marked)
 
 
 def collocation_hierarchical(h: HierarchicalSpace, sites) -> scipy.sparse.csr_matrix:

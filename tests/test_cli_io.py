@@ -893,11 +893,27 @@ class TestExitCodes:
             # Python's json reads NaN, Infinity and 1e999 as numbers.
             lambda doc: doc["coefficients"][0].__setitem__(0, float("nan")),
             lambda doc: doc["coefficients"][0].__setitem__(0, float("inf")),
+            # The model has 2 levels; ``levels`` must say so as a JSON integer.
+            lambda doc: doc.update(levels=99),
+            lambda doc: doc.update(levels=0),
+            lambda doc: doc.update(levels="x"),
+            lambda doc: doc.update(levels=None),
+            lambda doc: doc.update(levels=2.5),
+            lambda doc: doc.pop("levels"),
+            # Level 0 must list all 16 base cells.
+            lambda doc: doc["subdomains"].__setitem__(0, []),
+            lambda doc: doc["subdomains"].__setitem__(0, [0]),
+            # One of the four children of cell (0, 0), with the active sets the
+            # selection rule gives it: cell (0, 0) would be a leaf on both levels.
+            lambda doc: doc.update(subdomains=[doc["subdomains"][0], [0]],
+                                   active=[list(range(36)), [0]], coefficients=[[1.0]] * 37),
         ],
         ids=["cell-index-too-large", "cell-index-negative", "decreasing-knots", "negative-degree",
              "null-subdomain-entry", "null-active-entry", "number-for-subdomain-list",
              "non-numeric-coefficient", "non-numeric-active-entry", "fractional-cell-index",
-             "nan-coefficient", "infinite-coefficient"],
+             "nan-coefficient", "infinite-coefficient", "levels-too-many", "levels-zero",
+             "levels-string", "levels-null", "levels-fraction", "levels-missing",
+             "level-0-empty", "level-0-one-cell", "subdomain-splits-a-cell"],
     )
     def test_malformed_model_is_io_error(self, tmp_path, capsys, tamper):
         """Model contents no space accepts exit 3 and name the file."""

@@ -22,7 +22,8 @@ from splinefit import (
     mark_cells,
     uniform_interior,
 )
-from splinefit.hierarchical import _dilate
+from splinefit.hierarchical import _coarsen_any, _dilate, _function_cell_ranges, _window_all
+from splinefit.spline_core import KnotVector
 
 from conftest import three_levels_without_level_zero
 
@@ -74,6 +75,74 @@ def brute_force_active(h):
                 active.append(flat)
         result.append(active)
     return result
+
+
+# ----------------------------------------------------------------------
+# References: the summed-area window test, the active rule read at the next
+# level's resolution, leaves from the fully refined parents of the next level,
+# and marked cells collected one site at a time into a set.
+# ----------------------------------------------------------------------
+
+
+def reference_window_all(mask, los, his):
+    """Whether each box ``[lo, hi)`` is all True, by the 2^N signed corners of a summed-area table."""
+    cum = mask.astype(np.int64)
+    for axis in range(mask.ndim):
+        cum = np.cumsum(cum, axis=axis)
+    padded = np.zeros(tuple(s + 1 for s in cum.shape), dtype=np.int64)
+    padded[tuple(slice(1, None) for _ in range(mask.ndim))] = cum
+
+    total = np.zeros(tuple(lo.size for lo in los), dtype=np.int64)
+    ndim = mask.ndim
+    for corner in itertools.product((0, 1), repeat=ndim):
+        pick = [his[d] if corner[d] else los[d] for d in range(ndim)]
+        sign = (-1) ** (ndim - sum(corner))
+        total += sign * padded[np.ix_(*pick)]
+    volume = (his[0] - los[0]).astype(np.int64)
+    for lo, hi in zip(los[1:], his[1:]):
+        volume = np.multiply.outer(volume, hi - lo)
+    return total == volume
+
+
+def reference_active(h):
+    """Active sets: support inside the own subdomain, not inside the next at its resolution."""
+    out = []
+    for lev, space in enumerate(h.levels):
+        ranges = [_function_cell_ranges(kv) for kv in space.knot_vectors]
+        los = [r[0] for r in ranges]
+        his = [r[1] for r in ranges]
+        own = reference_window_all(h.domains[lev], los, his)
+        if lev + 1 < h.num_levels:
+            child = reference_window_all(
+                h.domains[lev + 1], [2 * lo for lo in los], [2 * hi for hi in his]
+            )
+        else:
+            child = np.zeros_like(own)
+        out.append(np.flatnonzero(own & ~child).tolist())
+    return out
+
+
+def reference_leaf_cells(h):
+    """Subdomain cells whose children are not all in the next subdomain, level by level."""
+    out = []
+    for lev, mask in enumerate(h.domains):
+        if lev + 1 < h.num_levels:
+            mask = mask & _coarsen_any(~h.domains[lev + 1])
+        for flat in np.flatnonzero(mask.ravel()):
+            out.append(CellId(lev, tuple(np.unravel_index(flat, mask.shape))))
+    return out
+
+
+def reference_mark_cells(h, sites, errors, eps):
+    """Per offending site, the cell of the finest level whose subdomain holds it, deduplicated."""
+    marked = set()
+    for x in np.asarray(sites)[np.asarray(errors) > eps]:
+        for lev in range(h.num_levels - 1, -1, -1):
+            index = tuple(int(kv.cell_of(xi)) for kv, xi in zip(h.levels[lev].knot_vectors, x))
+            if h.domains[lev][index]:
+                marked.add(CellId(lev, index))
+                break
+    return sorted(marked)
 
 
 class TestDyadicRefine:
@@ -412,3 +481,88 @@ class TestHierarchicalPenalty:
         for _, lo, hi in h.leaf_cell_boxes():
             area += np.prod(hi - lo, axis=1).sum()
         assert area == pytest.approx(1.0)
+
+
+@st.composite
+def clamped_knot_vectors(draw):
+    """A clamped knot vector on [0, 1]: degree 0-3, 1-4 cells, interior multiplicities 1..order."""
+    degree = draw(st.integers(0, 3), label="degree")
+    cells = draw(st.integers(1, 4), label="cells")
+    knots = [0.0] * (degree + 1)
+    for i in range(1, cells):
+        knots += [i / cells] * draw(st.integers(1, degree + 1), label="multiplicity")
+    return KnotVector(knots + [1.0] * (degree + 1), degree)
+
+
+class TestBookkeepingMatchesReferences:
+    """Active sets, leaves and marks from the handed-on masks equal the references exactly."""
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_random_refinements(self, data):
+        ndim = data.draw(st.integers(1, 3), label="ndim")
+        kvs = [data.draw(clamped_knot_vectors()) for _ in range(ndim)]
+        h = HierarchicalSpace.from_base(SplineSpace(kvs))
+        buffer = data.draw(st.booleans(), label="buffer")
+        for _ in range(data.draw(st.integers(1, 3), label="steps")):
+            lev = data.draw(st.integers(0, h.num_levels - 1), label="level")
+            inside = [tuple(ix) for ix in np.argwhere(h.domains[lev]).tolist()]
+            cells = data.draw(st.lists(st.sampled_from(inside), min_size=1, max_size=4,
+                                       unique=True), label="marked")
+            h = h.refine([CellId(lev, ix) for ix in cells], buffer=buffer)
+
+        assert [a.tolist() for a in h.active] == reference_active(h)
+        leaves = reference_leaf_cells(h)
+        assert h.leaf_cells() == leaves
+        for lev, lo, hi in h.leaf_cell_boxes():
+            index = [c.index for c in leaves if c.level == lev]
+            kvs = h.levels[lev].knot_vectors
+            np.testing.assert_array_equal(
+                lo, np.array([[kv.breakpoints[i] for kv, i in zip(kvs, ix)] for ix in index])
+                .reshape(-1, ndim))
+            np.testing.assert_array_equal(
+                hi, np.array([[kv.breakpoints[i + 1] for kv, i in zip(kvs, ix)] for ix in index])
+                .reshape(-1, ndim))
+
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        finest = [kv.breakpoints for kv in h.levels[-1].knot_vectors]
+        sites = np.vstack([
+            rng.uniform(0.0, 1.0, (60, ndim)),
+            # Cell boundaries of the finest level, where the closed right end matters.
+            np.column_stack([rng.choice(b, 20) for b in finest]),
+        ])
+        errors = rng.uniform(0.0, 1.0, sites.shape[0])
+        assert mark_cells(h, sites, errors, 0.5) == reference_mark_cells(h, sites, errors, 0.5)
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_window_all_random_masks(self, data):
+        shape = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=3), label="shape")
+        cells = data.draw(st.lists(st.booleans(), min_size=int(np.prod(shape)),
+                                   max_size=int(np.prod(shape))), label="cells")
+        mask = np.array(cells, dtype=bool).reshape(shape)
+        los, his = [], []
+        for size in shape:
+            bounds = data.draw(st.lists(st.tuples(st.integers(0, size), st.integers(0, size)),
+                                        min_size=1, max_size=6), label="windows")
+            los.append(np.array([min(b) for b in bounds], dtype=np.intp))
+            his.append(np.array([max(b) for b in bounds], dtype=np.intp))
+        np.testing.assert_array_equal(_window_all(mask, los, his),
+                                      reference_window_all(mask, los, his))
+
+    def test_subdomain_splitting_a_cell_raises(self):
+        """One child of cell (0, 0) alone: leaves would overlap, so the space is refused."""
+        with pytest.raises(ValueError, match="level 1 subdomain splits a level-0 cell"):
+            HierarchicalSpace.from_subdomains(grid_space(2, 4), [[0]])
+
+    def test_function_without_support_in_the_domain_is_never_active(self):
+        """Unclamped knots [0, 1, 1, 2, 3] of degree 1: B_0 vanishes on the domain [1, 2].
+
+        Its support is empty, so it lies inside every subdomain, the finest
+        level's empty handed-on set included.
+        """
+        kv = KnotVector([0.0, 1.0, 1.0, 2.0, 3.0], 1)
+        h = HierarchicalSpace.from_base(SplineSpace([kv]))
+        assert h.active[0].tolist() == [1, 2]
+        h = h.refine([CellId(0, (0,))], buffer=False)
+        assert [a.tolist() for a in h.active] == [[], [1, 2, 3]]
