@@ -69,8 +69,16 @@ __all__ = [
 _FMT = "%.17g"
 
 
-def _fmt(value: float) -> str:
-    return _FMT % value
+def _write_csv(path, header, rows) -> None:
+    """A CSV file: ``header`` by ``csv.writer``, then each row by one ``%`` with ``%.17g`` fields.
+
+    These are ``csv.writer``'s bytes: no field needs quoting, and ``%.17g``
+    prints an integer below 10**17 as ``str`` does.
+    """
+    line = ",".join([_FMT] * len(header)) + "\r\n"  # csv.writer's line terminator
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle).writerow(header)
+        handle.writelines([line % tuple(row) for row in rows])
 
 
 # ----------------------------------------------------------------------
@@ -254,12 +262,10 @@ def _read_lines(path) -> WeightedPointCloud:
 def write_point_cloud(path, cloud: WeightedPointCloud, weights: bool = True,
                       markers: bool = True) -> None:
     """Write a cloud in the CSV format accepted by :func:`read_point_cloud`."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        out = csv.writer(handle)
-        out.writerow(_cloud_header(cloud.ndim, cloud.dim_values, weights, markers))
-        numbers = np.hstack([cloud.sites, cloud.values] + [cloud.weights[:, None]] * weights)
-        for row, marker in zip(numbers.tolist(), cloud.markers.tolist()):
-            out.writerow([_fmt(v) for v in row] + [marker] * markers)
+    numbers = np.hstack([cloud.sites, cloud.values] + [cloud.weights[:, None]] * weights
+                        + [cloud.markers[:, None]] * markers)
+    _write_csv(path, _cloud_header(cloud.ndim, cloud.dim_values, weights, markers),
+               numbers.tolist())
 
 
 # ----------------------------------------------------------------------
@@ -360,23 +366,18 @@ def read_model(path) -> SplineFunction:
 
 def _write_report(path, report: FitReport) -> None:
     """One row per :class:`IterationRecord`, its fields as the columns."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        out = csv.writer(handle)
-        names = [field.name for field in dataclasses.fields(IterationRecord)]
-        out.writerow(names)
-        fields = operator.attrgetter(*names)  # astuple would deep-copy every field
-        out.writerows([_fmt(v) if isinstance(v, float) else v for v in fields(r)]
-                      for r in report.records)
+    names = [field.name for field in dataclasses.fields(IterationRecord)]
+    # astuple would deep-copy every field
+    _write_csv(path, names, map(operator.attrgetter(*names), report.records))
 
 
 def _write_mesh_dump(path, space: HierarchicalSpace) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        out = csv.writer(handle)
-        out.writerow(["level"] + [f"x{i}_{end}" for i in range(1, space.ndim + 1)
-                                  for end in ("lo", "hi")])
-        for level, lo, hi in space.leaf_cell_boxes():
-            bounds = np.stack([lo, hi], axis=-1).reshape(len(lo), 2 * space.ndim)
-            out.writerows([level] + [_fmt(v) for v in row] for row in bounds.tolist())
+    rows = []
+    for level, lo, hi in space.leaf_cell_boxes():
+        bounds = np.stack([lo, hi], axis=-1).reshape(len(lo), 2 * space.ndim)
+        rows += [[level] + row for row in bounds.tolist()]
+    _write_csv(path, ["level"] + [f"x{i}_{end}" for i in range(1, space.ndim + 1)
+                                  for end in ("lo", "hi")], rows)
 
 
 # ----------------------------------------------------------------------
@@ -568,12 +569,8 @@ def cmd_sample(args) -> int:
     for alpha in deriv_alphas:
         tag = "".join(str(a) for a in alpha)
         header += [f"d{tag}_v{k + 1}" for k in range(d)]
-    table = np.hstack([pts, fn.evaluate_many(pts)]
-                      + [fn.evaluate_many(pts, alpha) for alpha in deriv_alphas])
-    with open(args.out, "w", newline="", encoding="utf-8") as handle:
-        out = csv.writer(handle)
-        out.writerow(header)
-        out.writerows([_fmt(v) for v in row] for row in table.tolist())
+    table = np.hstack([pts, fn.evaluate_many(pts, [(0,) * ndim] + deriv_alphas)])
+    _write_csv(args.out, header, table.tolist())
     print(f"wrote {pts.shape[0]} samples to {args.out}")
     return 0
 

@@ -221,12 +221,23 @@ class HierarchicalSpace(_RowSpace):
     # Evaluation
     # ------------------------------------------------------------------
 
-    def _rows(self, sites, alpha):
-        """Per level with active functions, its tensor rows with the indices mapped to columns."""
-        for space, act, column in zip(self.levels, self.active, self._columns):
+    def _rows(self, sites, alphas):
+        """Per level with active functions, its tensor rows at the sites inside its subdomain.
+
+        Indices are mapped to columns. Active supports are unions of the
+        level's subdomain cells, so no other site meets an active function;
+        subdomains nest, so each level tests only the sites the last one kept.
+        """
+        rows, local = slice(None), sites
+        for space, act, column, own in zip(self.levels, self.active, self._columns, self.domains):
+            if not own.all():  # else the subdomain is the whole domain and holds every site
+                inside = own[tuple(kv.cell_of(x) for kv, x in zip(space.knot_vectors, local.T))]
+                if not inside.all():
+                    rows = np.flatnonzero(inside) if isinstance(rows, slice) else rows[inside]
+                    local = local[inside]
             if act.size:
-                idx, vals = space._tensor_rows(sites, alpha)
-                yield column[idx], vals
+                idx, vals = space._tensor_rows(local, alphas)
+                yield rows, column[idx], vals
 
     # ------------------------------------------------------------------
     # Cells

@@ -246,12 +246,15 @@ def uniform_interior(domain: tuple[float, float], count: int) -> np.ndarray:
 
 
 class _RowSpace:
-    """Basis evaluation written once over a space's ``_rows(sites, alpha)``.
+    """Basis evaluation written once over a space's ``_rows(sites, alphas)``.
 
-    A space has ``ndim``, ``degrees`` and ``dim``; its ``_rows`` yields per
-    level ``(columns, values)``, each ``(m, prod(order))``: every site's
-    locally nonzero tensor functions of the level and their columns in the
-    space, where column ``dim`` marks a function not in the space.
+    A space has ``ndim``, ``degrees`` and ``dim``. Given a list of checked
+    multi-indices, its ``_rows`` yields per level ``(rows, columns, values)``:
+    ``rows`` indexes the sites the level touches (``slice(None)``: all), and
+    at each touched site ``columns`` holds the level's ``prod(order)`` locally
+    nonzero tensor functions as columns in the space, column ``dim`` marking
+    one not in the space, and ``values`` one array per multi-index. A site
+    left out has no function of the level in the space.
     """
 
     def eval_basis(self, x) -> tuple[np.ndarray, np.ndarray]:
@@ -282,8 +285,15 @@ class _RowSpace:
 
     def _csr_arrays(self, sites, alpha) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(values, columns, row pointer)`` of the basis at the sites, rows level-major."""
-        levels = list(self._rows(sites, self._multi_index(alpha)))
-        columns, values = levels[0] if len(levels) == 1 else map(np.hstack, zip(*levels))
+        levels = list(self._rows(sites, [self._multi_index(alpha)]))
+        if len(levels) == 1 and isinstance(levels[0][0], slice):
+            _, columns, (values,) = levels[0]
+        else:  # the levels side by side, sentinel columns where a level leaves a site out
+            edges = np.cumsum([0] + [c.shape[1] for _, c, _ in levels])
+            columns = np.full((sites.shape[0], edges[-1]), self.dim, dtype=np.intp)
+            values = np.zeros(columns.shape)
+            for (rows, c, (v,)), lo, hi in zip(levels, edges, edges[1:]):
+                columns[rows, lo:hi], values[rows, lo:hi] = c, v
         keep = columns != self.dim
         if keep.all():  # no sentinel (always so in a tensor space): every row is full
             return values.ravel(), columns.ravel(), np.arange(
@@ -344,24 +354,27 @@ class SplineSpace(_RowSpace):
     def __hash__(self):
         return hash(self.knot_vectors)
 
-    def _rows(self, sites, alpha):
-        """The one level: the tensor rows themselves."""
-        yield self._tensor_rows(sites, alpha)
+    def _rows(self, sites, alphas):
+        """The one level, touching every site: the tensor rows themselves."""
+        yield (slice(None), *self._tensor_rows(sites, alphas))
 
-    def _tensor_rows(self, sites, alpha) -> tuple[np.ndarray, np.ndarray]:
-        """Per-site flat indices and values, ``(m, prod(order))`` each, as row-wise outer products.
+    def _tensor_rows(self, sites, alphas) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Per-site flat indices and, per multi-index, values as row-wise outer products.
 
-        Functions run with the last direction fastest.
+        Each array is ``(m, prod(order))``, functions running with the last
+        direction fastest. One ``basis_rows`` call per direction, at the
+        highest order asked there, serves every multi-index.
         """
         m = sites.shape[0]
         idx = np.zeros((m, 1), dtype=np.intp)
-        vals = np.ones((m, 1))
-        for kv, x, a in zip(self.knot_vectors, sites.T, alpha):
-            first, ders = kv.basis_rows(x, a)
+        vals = [np.ones((m, 1))] * len(alphas)
+        for kv, x, orders in zip(self.knot_vectors, sites.T, zip(*alphas)):
+            first, ders = kv.basis_rows(x, max(orders))
             width = idx.shape[1] * kv.order
             cols = first[:, None, None] + np.arange(kv.order)
             idx = (idx[:, :, None] * kv.dim + cols).reshape(m, width)
-            vals = (vals[:, :, None] * ders[:, None, a, :]).reshape(m, width)
+            vals = [(v[:, :, None] * ders[:, None, a, :]).reshape(m, width)
+                    for v, a in zip(vals, orders)]
         return idx, vals
 
     def greville_points(self) -> np.ndarray:
@@ -529,14 +542,22 @@ class SplineFunction:
         return self.evaluate_many(np.reshape(x, (1, -1)), alpha)[0]
 
     def evaluate_many(self, sites, alpha=None) -> np.ndarray:
-        """Values, or partial derivatives ``alpha``, at several points, one row per site."""
+        """Values, or partial derivatives ``alpha``, at several points, one row per site.
+
+        ``alpha`` may also be a sequence of multi-indices; each then gives
+        ``dim_values`` columns, side by side in the order given.
+        """
         sites = _as_sites(sites, self.space.ndim)
+        alphas = [self.space._multi_index(a)
+                  for a in (alpha if np.ndim(alpha) == 2 else [alpha])]
         # Row ``dim`` is zero: columns outside the space contribute nothing.
         padded = np.vstack([self.coefficients, np.zeros((1, self.dim_values))])
-        out = np.zeros((sites.shape[0], self.dim_values))
-        for columns, values in self.space._rows(sites, self.space._multi_index(alpha)):
-            out += np.einsum("mk,mkd->md", values, padded[columns])
-        return out
+        out = np.zeros((sites.shape[0], len(alphas), self.dim_values))
+        for rows, columns, values in self.space._rows(sites, alphas):
+            coefficients = padded[columns]
+            for i, v in enumerate(values):
+                out[rows, i] += np.einsum("mk,mkd->md", v, coefficients)
+        return out.reshape(sites.shape[0], -1)
 
 
 def parameterize(values, method: str = "uniform") -> np.ndarray:

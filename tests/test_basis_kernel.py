@@ -177,6 +177,42 @@ class TestProperties:
         np.testing.assert_allclose(ders[0, 0, :-1], 0.0, atol=1e-15)
 
 
+@st.composite
+def knots_and_sites_inside_cells(draw):
+    """Clamped knots of degree 1-5 on a 0.05 grid, and sites at least a tenth of a cell from its ends."""
+    degree = draw(st.integers(1, 5))
+    k = degree + 1
+    breakpoints = 0.05 * np.array(sorted(draw(st.lists(st.integers(1, 19), max_size=6,
+                                                        unique=True))))
+    interior = np.repeat(breakpoints, [draw(st.integers(1, k)) for _ in breakpoints])
+    kv = KnotVector(np.concatenate([np.zeros(k), interior, np.ones(k)]), degree)
+    cells = np.array(draw(st.lists(st.integers(0, kv.num_cells - 1), min_size=1, max_size=10)))
+    fractions = np.array(draw(st.lists(st.floats(0.1, 0.9), min_size=cells.size,
+                                       max_size=cells.size)))
+    width = np.diff(kv.breakpoints)
+    return kv, kv.breakpoints[cells] + fractions * width[cells], width.min()
+
+
+class TestDerivativesAgainstFiniteDifferences:
+    @settings(max_examples=100)
+    @given(knots_and_sites_inside_cells())
+    def test_order_r_is_the_central_difference_of_order_r_minus_1(self, case):
+        """Away from breakpoints every derivative row is a smooth function of the site."""
+        kv, x, width = case
+        d = kv.degree
+        step = 1e-5 * width
+        first, ders = kv.basis_rows(x, d)
+        (first_plus, plus), (first_minus, minus) = (kv.basis_rows(x + s, d) for s in (step, -step))
+        np.testing.assert_array_equal(first_plus, first)
+        np.testing.assert_array_equal(first_minus, first)
+        # The difference errs by step^2/6 times the derivative two orders up, which
+        # d^2/width per order bounds, plus rounding of about eps * width / step.
+        relative = 100 * ((d * d * step / width) ** 2 + np.finfo(float).eps * width / step)
+        for r in range(1, d + 1):
+            central = (plus[:, r - 1] - minus[:, r - 1]) / (2 * step)
+            scale = np.abs(ders[:, r]).max(axis=1, keepdims=True)
+            assert np.all(np.abs(ders[:, r] - central) <= relative * scale), (kv, r)
+
 class TestDomain:
     def test_outside_points_raise(self):
         kv = make_open_knot_vector((0.0, 1.0), 2, [0.5])

@@ -720,6 +720,54 @@ class TestSampleCommand:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+def _sample_table(path):
+    """Header and float rows of a ``sample`` CSV."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        header, *rows = csv.reader(handle)
+    return header, np.array(rows, dtype=float)
+
+
+class TestSampleColumnsInOneCall:
+    """``sample`` evaluates every derivative column in one ``evaluate_many`` call."""
+
+    @staticmethod
+    def _cubic_model(tmp_path, dim_values=1):
+        kv = make_open_knot_vector((0.0, 1.0), 3, uniform_interior((0.0, 1.0), 3))
+        h = HierarchicalSpace.from_base(SplineSpace([kv, kv])).refine(
+            [CellId(0, (1, 1)), CellId(0, (3, 0))], buffer=True
+        ).refine([CellId(1, (2, 2))], buffer=False)
+        assert h.num_levels == 3
+        fn = SplineFunction(h, np.random.default_rng(5).normal(size=(h.dim, dim_values)))
+        model = tmp_path / "h.json"
+        write_model(model, fn)
+        return read_model(model), model
+
+    def test_order_above_the_degree_is_refused_before_evaluation(self, tmp_path, capsys):
+        _, model = self._cubic_model(tmp_path)
+        out = tmp_path / "s.csv"
+        rc = main(["sample", "--model", str(model), "--grid", "5x5", "--deriv", "4",
+                   "--out", str(out)])
+        assert rc == 1
+        assert "derivative order 4 exceeds degree 3" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("deriv,dim_values", [(3, 1), (1, 2)])
+    def test_columns_are_per_column_evaluation_bit_for_bit(self, tmp_path, deriv, dim_values):
+        fn, model = self._cubic_model(tmp_path, dim_values)
+        out = tmp_path / "s.csv"
+        rc = main(["sample", "--model", str(model), "--grid", "7x6", "--deriv", str(deriv),
+                   "--out", str(out)])
+        assert rc == 0
+        header, table = _sample_table(out)
+        alphas = [(deriv - a, a) for a in range(deriv, -1, -1)]
+        assert header[2 : 2 + dim_values] == [f"v{k + 1}" for k in range(dim_values)]
+        assert header[-dim_values:] == [f"d{alphas[-1][0]}{alphas[-1][1]}_v{k + 1}"
+                                        for k in range(dim_values)]
+        pts = table[:, :2]
+        expected = np.hstack([fn.evaluate_many(pts)]
+                             + [fn.evaluate_many(pts, alpha) for alpha in alphas])
+        assert table[:, 2:].tobytes() == expected.tobytes()
+
 class TestParserReuse:
     def test_back_to_back_calls_see_only_their_own_defaults(
         self, tmp_path, seven_csv, monkeypatch
