@@ -59,9 +59,7 @@ from .spline_core import (
     uniform_interior,
 )
 from .wls import (
-    FitMetrics,
     assemble_thin_plate,
-    metrics,
     solve_penalized_wls,
     solve_wls,
     weighted_solver,
@@ -73,7 +71,6 @@ __all__ = [
     "CellId",
     "Decomposition",
     "FitConfig",
-    "FitMetrics",
     "FitReport",
     "HierarchicalSpace",
     "IterationRecord",
@@ -108,7 +105,6 @@ __all__ = [
     "main",
     "make_open_knot_vector",
     "mark_cells",
-    "metrics",
     "parameterize",
     "rwls_fit",
     "schoenberg_whitney_admissible",

@@ -144,9 +144,9 @@ def read_point_cloud(path) -> WeightedPointCloud:
 
 
 def _read_text(path, error) -> str:
-    """The text of a UTF-8 file; other bytes raise ``error`` naming the file."""
+    """The text of a UTF-8 file, less a leading byte-order mark; other bytes raise ``error``."""
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             return handle.read()
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text: {exc}") from None
@@ -209,7 +209,7 @@ def _read_lines(path) -> WeightedPointCloud:
     header = None
     n = d = 0
     has_w = has_marker = False
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         for row in reader:
             lineno = reader.line_num  # a quoted field may span lines: name the last
@@ -345,7 +345,7 @@ def read_model(path) -> SplineFunction:
     try:
         space = SplineSpace([KnotVector(t.astype(float), d) for t, d in zip(knots, degrees)])
         if kind == "hierarchical":
-            cells = math.prod(kv.num_cells for kv in space.knot_vectors)
+            cells = math.prod(space.cells)
             if not np.array_equal(cell_lists[0], np.arange(cells)):
                 raise ValueError(f"the level-0 subdomain must list every cell 0..{cells - 1}")
             space = HierarchicalSpace.from_subdomains(space, cell_lists[1:])
@@ -422,15 +422,18 @@ def _sites_for(cloud: WeightedPointCloud, param: str) -> np.ndarray:
     return parameterize(cloud.values, param)[:, None]
 
 
+def _uniform_kv(x, degree: int, cells: int) -> KnotVector:
+    """Clamped knots with ``cells`` equal spans over the range of the sites ``x``."""
+    lo, hi = float(x.min()), float(x.max())
+    return make_open_knot_vector((lo, hi), degree, uniform_interior((lo, hi), cells - 1))
+
+
 def _build_curve_space(args, sites) -> SplineSpace:
     degree = args.degree[0]
-    lo, hi = float(sites.min()), float(sites.max())
     if args.knots == "uniform":
         if args.interior_knots is None:
             raise _UsageError("--knots uniform needs --interior-knots")
-        kv = make_open_knot_vector(
-            (lo, hi), degree, uniform_interior((lo, hi), args.interior_knots)
-        )
+        kv = _uniform_kv(sites, degree, args.interior_knots + 1)
     elif args.knots == "averaging":
         if args.interior_knots is None:
             raise _UsageError("--knots averaging needs --interior-knots")
@@ -456,8 +459,7 @@ def cmd_verify(args) -> int:
     if cloud.ndim != 1:
         raise _UsageError("verify expects curve data (one x column)")
     if args.basis == "poly":
-        lo, hi = float(cloud.sites.min()), float(cloud.sites.max())
-        space = SplineSpace(make_open_knot_vector((lo, hi), args.degree[0], []))
+        space = SplineSpace(_uniform_kv(cloud.sites, args.degree[0], 1))
     else:
         space = _build_curve_space(args, cloud.sites)
 
@@ -527,16 +529,8 @@ def cmd_fit_adaptive(args) -> int:
         raise _UsageError("fit-adaptive expects surface data (two x columns)")
     degrees = args.degree if len(args.degree) == 2 else args.degree * 2
     cells = _parse_mesh(args.mesh, 2, "--mesh")
-    kvs = []
-    for axis in range(2):
-        lo = float(cloud.sites[:, axis].min())
-        hi = float(cloud.sites[:, axis].max())
-        kvs.append(
-            make_open_knot_vector(
-                (lo, hi), degrees[axis], uniform_interior((lo, hi), cells[axis] - 1)
-            )
-        )
-    base = SplineSpace(kvs)
+    base = SplineSpace([_uniform_kv(cloud.sites[:, axis], degrees[axis], cells[axis])
+                        for axis in range(2)])
     config = _fit_config(args)
     report = adaptive_rwls_fit(base, cloud, config)
     if args.mesh_dump:

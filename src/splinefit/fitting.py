@@ -157,20 +157,22 @@ def update_weights(errors, weights, type_one, type_two, mode: str = "error_drive
     return w
 
 
-def _max_over(e: np.ndarray, idx) -> float:
-    return float(e[idx].max()) if np.size(idx) else 0.0
+def _max_over(values: np.ndarray) -> float:
+    """The largest value, or 0.0 when there is none."""
+    return float(values.max()) if values.size else 0.0
 
 
-def _record(iteration, dofs, e, k1, not_k2_mask, n1, n2) -> IterationRecord:
+def _record(iteration, dofs, e, k1, k2) -> IterationRecord:
+    """The report row of errors ``e`` with type I markers ``k1`` and type II markers ``k2``."""
     return IterationRecord(
         iteration=iteration,
         dofs=dofs,
         rmse=float(np.sqrt(np.mean(e**2))),
-        max=float(e.max()),
-        max_type_one=_max_over(e, k1),
-        max_not_type_two=float(e[not_k2_mask].max()) if not_k2_mask.any() else 0.0,
-        n_type_one=int(n1),
-        n_type_two=int(n2),
+        max=_max_over(e),
+        max_type_one=_max_over(e[k1]),
+        max_not_type_two=_max_over(np.delete(e, k2)),
+        n_type_one=k1.size,
+        n_type_two=k2.size,
     )
 
 
@@ -199,8 +201,6 @@ def rwls_fit(space, cloud: WeightedPointCloud, config: FitConfig) -> FitReport:
     f = cloud.values
     k1 = np.sort(cloud.type_one)
     k2 = np.sort(cloud.type_two)
-    not_k2 = np.ones(cloud.m, dtype=bool)
-    not_k2[k2] = False
 
     # Only marked weights change: the other rows are folded into their
     # triangle once, and each solve sweeps it and the marked rows alone.
@@ -218,8 +218,9 @@ def rwls_fit(space, cloud: WeightedPointCloud, config: FitConfig) -> FitReport:
     for iteration in range(1, config.max_iter + 1):
         coeffs = solve_folded(np.concatenate([ones, w[vary]]), f_folded)
         e = np.linalg.norm(B @ coeffs - f, axis=1)
-        records.append(_record(iteration, space.dim, e, k1, not_k2, k1.size, k2.size))
-        if _max_over(e, k1) <= config.tol_i and records[-1].max_not_type_two <= config.tol_ii:
+        records.append(_record(iteration, space.dim, e, k1, k2))
+        last = records[-1]
+        if last.max_type_one <= config.tol_i and last.max_not_type_two <= config.tol_ii:
             termination = "tolerance"
             break
         if config.update_all_marked:
@@ -280,9 +281,7 @@ def adaptive_rwls_fit(
         P = assemble_thin_plate(h) if config.lam > 0 else None
         coeffs = solve_penalized_wls(B, w, f, P, config.lam)
         e = np.linalg.norm(B @ coeffs - f, axis=1)
-        not_k2 = np.ones(cloud.m, dtype=bool)
-        not_k2[k2] = False
-        records.append(_record(loop, h.dim, e, k1, not_k2, k1.size, k2.size))
+        records.append(_record(loop, h.dim, e, k1, k2))
         if e.max() <= config.eps:
             termination = "eps"
             break
@@ -354,11 +353,11 @@ CURVE_FEATURES = {1: (1.0 / 3.0, 2.0 / 3.0), 2: (0.5,), 3: (0.25, 0.75)}
 CURVE_SIZES = {1: 62, 2: 88, 3: 71}
 
 
-def feature_weighted_sites(m: int, centers, width: float = 0.03, boost: float = 8.0) -> np.ndarray:
+def feature_weighted_sites(m: int, centers) -> np.ndarray:
     """Deterministic abscissae on ``[0, 1]`` concentrated near the given centers.
 
     Sites are the inverse distribution function of the density
-    ``1 + boost * sum_c exp(-((x - c) / width)^2)`` (trapezoidal on a 4001
+    ``1 + 8 * sum_c exp(-((x - c) / 0.03)^2)`` (trapezoidal on a 4001
     point grid) sampled at ``m`` uniform levels, so the spacing contracts
     around every center.
     """
@@ -367,7 +366,7 @@ def feature_weighted_sites(m: int, centers, width: float = 0.03, boost: float = 
     grid = np.linspace(0.0, 1.0, 4001)
     density = np.ones_like(grid)
     for c in np.atleast_1d(centers):
-        density += boost * np.exp(-(((grid - c) / width) ** 2))
+        density += 8.0 * np.exp(-(((grid - c) / 0.03) ** 2))
     increments = 0.5 * (density[1:] + density[:-1]) * np.diff(grid)
     cdf = np.concatenate([[0.0], np.cumsum(increments)])
     cdf /= cdf[-1]
@@ -396,10 +395,8 @@ def top_gradient_markers(sites, values, count: int) -> np.ndarray:
     return np.sort(order[:count])
 
 
-def curve_point_cloud(curve_id: int, m: int | None = None) -> WeightedPointCloud:
-    """Benchmark curve sampled at its feature-weighted abscissae."""
-    if m is None:
-        m = CURVE_SIZES[curve_id]
-    sites = feature_weighted_sites(m, CURVE_FEATURES[curve_id])
+def curve_point_cloud(curve_id: int) -> WeightedPointCloud:
+    """Benchmark curve sampled at its ``CURVE_SIZES`` feature-weighted abscissae."""
+    sites = feature_weighted_sites(CURVE_SIZES[curve_id], CURVE_FEATURES[curve_id])
     values = evaluate_test_curves(curve_id, sites)
     return WeightedPointCloud(sites, values)

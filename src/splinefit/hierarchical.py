@@ -102,10 +102,9 @@ class HierarchicalSpace(_RowSpace):
         if not self.domains[0].all():
             raise ValueError("the level-0 subdomain must cover the whole domain")
         for lev, (space, mask) in enumerate(zip(self.levels, self.domains)):
-            expected = tuple(kv.num_cells for kv in space.knot_vectors)
-            if mask.shape != expected:
+            if mask.shape != space.cells:
                 raise ValueError(
-                    f"level {lev} mask shape {mask.shape} does not match cells {expected}"
+                    f"level {lev} mask shape {mask.shape} does not match cells {space.cells}"
                 )
         # Per level, the cells whose children make up the next subdomain; the
         # finest level hands on none.
@@ -139,19 +138,17 @@ class HierarchicalSpace(_RowSpace):
 
     @classmethod
     def from_base(cls, space: SplineSpace) -> "HierarchicalSpace":
-        mask = np.ones(tuple(kv.num_cells for kv in space.knot_vectors), dtype=bool)
-        return cls([space], [mask])
+        return cls([space], [np.ones(space.cells, dtype=bool)])
 
     @classmethod
     def from_subdomains(cls, base: SplineSpace, cell_lists) -> "HierarchicalSpace":
         """Rebuild a space from per-level flat cell index lists (level 0 implied full)."""
         levels = [base]
-        domains = [np.ones(tuple(kv.num_cells for kv in base.knot_vectors), dtype=bool)]
+        domains = [np.ones(base.cells, dtype=bool)]
         for cells in cell_lists:
             space = dyadic_refine_space(levels[-1])
             levels.append(space)
-            shape = tuple(kv.num_cells for kv in space.knot_vectors)
-            mask = np.zeros(shape, dtype=bool)
+            mask = np.zeros(space.cells, dtype=bool)
             flat = np.asarray(list(cells), dtype=np.intp)
             if np.any((flat < 0) | (flat >= mask.size)):
                 raise ValueError(
@@ -209,11 +206,7 @@ class HierarchicalSpace(_RowSpace):
                 mask = _dilate(mask) & domains[lev]
             if lev + 1 == len(levels):
                 levels.append(dyadic_refine_space(levels[lev]))
-                domains.append(
-                    np.zeros(
-                        tuple(kv.num_cells for kv in levels[-1].knot_vectors), dtype=bool
-                    )
-                )
+                domains.append(np.zeros(levels[-1].cells, dtype=bool))
             domains[lev + 1] |= _expand_children(mask)
         return HierarchicalSpace(levels, domains)
 

@@ -9,7 +9,7 @@ large-weight limit solutions, and the iteratively reweighted route to
 ``l^p`` fitting.
 
 This module is a verification oracle: the subset count is exponential, so
-:func:`decompose` refuses problems past a combinatorial cap. Production
+:func:`decompose` refuses problems past ``SUBSET_CAP`` subsets. Production
 fitting goes through :mod:`splinefit.wls`.
 """
 
@@ -61,15 +61,15 @@ class SubsetCertificate:
     coefficients: np.ndarray | None
 
 
-def enumerate_subsets(m: int, n: int, cap: int = SUBSET_CAP):
+def enumerate_subsets(m: int, n: int):
     """All size-``n`` subsets of ``{0..m-1}`` in lexicographic order, as tuples.
 
-    Raises :class:`SubsetCapError` when the count ``C(m, n)`` exceeds ``cap``.
+    Raises :class:`SubsetCapError` when the count ``C(m, n)`` exceeds ``SUBSET_CAP``.
     """
-    return map(tuple, _subset_array(m, n, cap).tolist())
+    return map(tuple, _subset_array(m, n).tolist())
 
 
-def _subset_array(m: int, n: int, cap: int = SUBSET_CAP) -> np.ndarray:
+def _subset_array(m: int, n: int) -> np.ndarray:
     """The subsets of :func:`enumerate_subsets` as a ``(C(m, n), n)`` index array.
 
     Built column by column: each row is repeated once per admissible next
@@ -79,8 +79,8 @@ def _subset_array(m: int, n: int, cap: int = SUBSET_CAP) -> np.ndarray:
     if not 1 <= n <= m:
         raise ValueError(f"need 1 <= n <= m, got n={n}, m={m}")
     total = math.comb(m, n)
-    if total > cap:
-        raise SubsetCapError(f"C({m}, {n}) = {total} exceeds the cap {cap}")
+    if total > SUBSET_CAP:
+        raise SubsetCapError(f"C({m}, {n}) = {total} exceeds the cap {SUBSET_CAP}")
     K = np.arange(m - n + 1, dtype=np.intp)[:, None]
     for j in range(1, n):
         last = K[:, -1]
@@ -193,7 +193,7 @@ class Decomposition:
         )
 
 
-def decompose(space, cloud: WeightedPointCloud, cap: int = SUBSET_CAP) -> Decomposition:
+def decompose(space, cloud: WeightedPointCloud) -> Decomposition:
     """Enumerate all subset interpolation problems of the cloud.
 
     Subsets go in lexicographic order, in chunks of about ``_BATCH_BYTES``
@@ -207,7 +207,7 @@ def decompose(space, cloud: WeightedPointCloud, cap: int = SUBSET_CAP) -> Decomp
     if n > m:
         raise ValueError(f"space dimension {n} exceeds the number of points {m}")
     B = collocation_matrix(space, cloud.sites)
-    subsets = _subset_array(m, n, cap)
+    subsets = _subset_array(m, n)
     step = max(1, _BATCH_BYTES // (8 * n * n))
     chunks = [_solve_subsets(B, cloud.weights, cloud.values, subsets[i : i + step])
               for i in range(0, len(subsets), step)]

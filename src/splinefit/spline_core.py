@@ -53,12 +53,14 @@ class KnotVector:
         ``1..degree+1``.
     degree : int
         Polynomial degree ``d >= 0``; the order is ``k = d + 1``.
-    clamped : bool, optional
-        If ``True``, require end multiplicities equal to the order and raise
-        otherwise. If omitted, clampedness is detected from the knots.
+
+    Attributes
+    ----------
+    clamped : bool
+        Whether both end multiplicities equal the order, detected from the knots.
     """
 
-    def __init__(self, knots, degree: int, clamped: bool | None = None):
+    def __init__(self, knots, degree: int):
         t = np.asarray(knots, dtype=float)
         if t.ndim != 1:
             raise ValueError("knots must be a one-dimensional sequence")
@@ -87,12 +89,9 @@ class KnotVector:
         if np.any(counts > k):
             raise ValueError(f"knot multiplicity exceeds order {k}")
 
-        is_clamped = bool(
+        self.clamped = bool(
             np.all(t[:k] == t[0]) and np.all(t[-k:] == t[-1]) and t[0] < t[-1]
         )
-        if clamped is True and not is_clamped:
-            raise ValueError("knot vector is not clamped (end multiplicities < order)")
-        self.clamped = is_clamped if clamped is None else bool(clamped) and is_clamped
 
         # Domain where the basis forms a partition of unity.
         self.start = float(t[degree])
@@ -207,10 +206,12 @@ class KnotVector:
         d, t = self.degree, self.knots
         if d == 0:
             return 0.5 * (t[:-1] + t[1:])
-        out = np.empty(self.dim)
-        for j in range(self.dim):
-            out[j] = t[j + 1 : j + 1 + d].mean()
-        return np.clip(out, self.start, self.end)
+        return np.clip(_window_means(t[1:-1], d), self.start, self.end)
+
+
+def _window_means(values: np.ndarray, width: int) -> np.ndarray:
+    """Means of every ``width`` consecutive entries of ``values``, in order."""
+    return np.lib.stride_tricks.sliding_window_view(values, width).mean(axis=1)
 
 
 def make_open_knot_vector(
@@ -234,7 +235,7 @@ def make_open_knot_vector(
             raise ValueError("interior breakpoints must lie strictly inside the domain")
     k = degree + 1
     t = np.concatenate([np.full(k, a), interior, np.full(k, b)])
-    return KnotVector(t, degree, clamped=True)
+    return KnotVector(t, degree)
 
 
 def uniform_interior(domain: tuple[float, float], count: int) -> np.ndarray:
@@ -337,6 +338,7 @@ class SplineSpace(_RowSpace):
             raise ValueError("need at least one knot vector")
         self.ndim = len(self.knot_vectors)
         self.dims = tuple(kv.dim for kv in self.knot_vectors)
+        self.cells = tuple(kv.num_cells for kv in self.knot_vectors)
         self.dim = int(np.prod(self.dims))
         self.degrees = tuple(kv.degree for kv in self.knot_vectors)
         self.domain = tuple((kv.start, kv.end) for kv in self.knot_vectors)
@@ -606,7 +608,5 @@ def averaging_knots(sites, n: int, degree: int) -> KnotVector:
 
     if n < m:
         s = np.quantile(s, np.linspace(0.0, 1.0, n))
-    interior = np.empty(n - k)
-    for j in range(1, n - degree):
-        interior[j - 1] = s[j : j + degree].mean()
+    interior = _window_means(s[1:], degree)[:-1]
     return make_open_knot_vector((s[0], s[-1]), degree, interior)

@@ -5,8 +5,8 @@ work on its CSR form; neither densifies it. The unpenalized solver factors
 ``sqrt(W) B c = sqrt(W) f`` by a banded block Householder QR that keeps only
 the triangle ``R``, shared across value components. The penalized solver
 forms its normal matrix ``0.5 B^T W B + lam P`` in CSR, renumbers the
-unknowns in the reverse Cuthill-McKee order of ``P``'s pattern and factors
-the upper band by a banded Cholesky.
+unknowns in the reverse Cuthill-McKee order of that matrix's pattern and
+factors the upper band by a banded Cholesky.
 
 Reweighting loops solve on one ``B`` with ever new weights.
 :func:`weighted_solver` does the work that depends on ``B`` and ``P`` alone
@@ -31,15 +31,12 @@ import numpy as np
 
 from .errors import NumericError, RankDeficiencyError, SingularSystemError
 from .hierarchical import HierarchicalSpace
-from .spline_core import SplineFunction, WeightedPointCloud, _as_sites
 
 __all__ = [
-    "FitMetrics",
     "solve_wls",
     "weighted_solver",
     "assemble_thin_plate",
     "solve_penalized_wls",
-    "metrics",
     "RANK_RTOL",
 ]
 
@@ -225,15 +222,13 @@ def weighted_solver(B, P=None, lam: float = 0.0):
     the sweep, the rank test and the triangular solve.
 
     At ``lam > 0`` this builds the CSR copies of ``B``, ``B^T`` and ``lam P``
-    (``P`` dense or sparse) and the reverse Cuthill-McKee order of ``P``'s
-    pattern. That pattern holds the one of ``B^T W B`` when ``B`` is a
-    collocation matrix of ``P``'s space (both pair the functions whose
-    supports overlap), but not when ``B`` holds a folded triangle, whose
-    rows fill in. Each solve forms ``A = 0.5 B^T W B + lam P`` in CSR, packs
-    its upper triangle in that order into a band as wide as ``A`` needs
-    (so fill-in widens the band but never changes the result) and calls
-    :func:`scipy.linalg.solveh_banded`; an ``A`` that is not positive
-    definite raises :class:`SingularSystemError`. scipy, and at ``lam > 0``
+    (``P`` dense or sparse). Each solve forms ``A = 0.5 B^T W B + lam P`` in
+    CSR, packs its upper triangle into a band as wide as ``A`` needs and
+    calls :func:`scipy.linalg.solveh_banded`; an ``A`` that is not positive
+    definite raises :class:`SingularSystemError`. The unknowns are numbered
+    in the reverse Cuthill-McKee order of the first ``A``'s pattern, taken
+    with its indices sorted: positive weights leave the pattern unchanged,
+    so later solves reuse it. scipy, and at ``lam > 0``
     ``scipy.sparse.csgraph``, is imported here or in ``solve``, not at start-up.
     """
     if not 0 <= lam < math.inf:
@@ -258,16 +253,20 @@ def weighted_solver(B, P=None, lam: float = 0.0):
         flat = np.flatnonzero(P != 0)
         P = scipy.sparse.coo_matrix((P.flat[flat], np.divmod(flat, P.shape[1])), shape=P.shape)
     lam_P = lam * scipy.sparse.csr_matrix(P, dtype=float)
-    order = reverse_cuthill_mckee(lam_P, symmetric_mode=True)
-    pos = np.empty_like(order)
-    pos[order] = np.arange(order.size)
+    order = pos = None
 
     def solve(weights, f):
+        nonlocal order, pos
         w, f2, squeeze = _weighted_system(B.shape[0], weights, f)
         half_w = 0.5 * w
         gram = Bt @ scipy.sparse.csr_matrix((B.data * half_w[row_of], B.indices, B.indptr),
                                             shape=B.shape)
-        A = (gram + lam_P).tocoo()
+        A = gram + lam_P
+        if order is None:
+            order = reverse_cuthill_mckee(A.sorted_indices(), symmetric_mode=True)
+            pos = np.empty_like(order)
+            pos[order] = np.arange(order.size)
+        A = A.tocoo()
         i, j = pos[A.row], pos[A.col]
         upper = i <= j
         i, j = i[upper], j[upper]
@@ -406,24 +405,3 @@ def solve_penalized_wls(B, weights, f, P, lam: float) -> np.ndarray:
     once for many weight vectors.
     """
     return weighted_solver(B, P, lam)(weights, f)
-
-
-@dataclass(frozen=True)
-class FitMetrics:
-    """Pointwise errors ``e_i = ||v(x_i) - f_i||_2`` with their RMSE and maximum."""
-
-    errors: np.ndarray
-    rmse: float
-    max: float
-
-    @classmethod
-    def from_errors(cls, errors) -> "FitMetrics":
-        e = np.asarray(errors, dtype=float)
-        return cls(errors=e, rmse=float(np.sqrt(np.mean(e**2))), max=float(e.max()))
-
-
-def metrics(fn: SplineFunction, cloud: WeightedPointCloud) -> FitMetrics:
-    """Pointwise fit errors of ``fn`` against the cloud."""
-    sites = _as_sites(cloud.sites, fn.space.ndim)
-    residual = fn.evaluate_many(sites) - cloud.values
-    return FitMetrics.from_errors(np.linalg.norm(residual, axis=1))

@@ -1036,6 +1036,36 @@ class TestExitCodes:
         assert f"{model}: not UTF-8 text" in capsys.readouterr().err
         assert not out.exists()
 
+    # A comment among the data rows sends the cloud through the line-by-line reader.
+    @pytest.mark.parametrize("comment", ["", "# note\r\n"], ids=["bulk", "line-by-line"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, comment):
+        """A cloud or a model that starts with a UTF-8 byte-order mark loads as without it."""
+        plain = tmp_path / "plain.csv"
+        write_point_cloud(plain, curve_point_cloud(1))
+        header, rows = plain.read_bytes().split(b"\r\n", 1)
+        plain.write_bytes(header + b"\r\n" + comment.encode() + rows)
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        for cloud in (plain, bom):
+            assert main(["fit", "--cloud", str(cloud), "--interior-knots", "8",
+                         "--out", str(cloud.with_suffix(".json")),
+                         "--report", str(cloud.with_suffix(".report"))]) == 0
+        for suffix in (".json", ".report"):
+            assert bom.with_suffix(suffix).read_bytes() == plain.with_suffix(suffix).read_bytes()
+        bom_model = tmp_path / "bom_model.json"
+        bom_model.write_bytes(b"\xef\xbb\xbf" + plain.with_suffix(".json").read_bytes())
+        for model in (plain.with_suffix(".json"), bom_model):
+            assert main(["sample", "--model", str(model), "--grid", "11",
+                         "--out", str(model.with_suffix(".samples"))]) == 0
+        assert (bom_model.with_suffix(".samples").read_bytes()
+                == plain.with_suffix(".samples").read_bytes())
+
+    def test_byte_order_mark_then_non_utf8_is_io_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"\xef\xbb\xbfx1,f1\n0.0,1.0\n0.5,\xff\n1.0,2.0\n")
+        assert main(["fit", "--cloud", str(path), "--interior-knots", "1"]) == 3
+        assert f"{path}: not UTF-8 text" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "option, value",
         [("--lambda", "nan"), ("--lambda", "inf"), ("--alpha", "fixed:inf"),

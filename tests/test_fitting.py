@@ -1,9 +1,11 @@
 """Reweighted fitting loops, weight updates, benchmark functions."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,6 +34,7 @@ from splinefit import (
     uniform_interior,
     update_weights,
 )
+from splinefit.fitting import _record
 
 
 def grid_cloud_3peaks(samples):
@@ -101,6 +104,42 @@ class TestUpdateWeights:
         w = update_weights([0.5, 0.5, 0.5], [1.0, 1.0, 1.0], [0], [2], mode="error_driven")
         assert w[1] == 1.0
         assert np.all(w > 0)
+
+
+@st.composite
+def errors_and_markers(draw):
+    """Errors on a grid of quarters (ties, zeros, exact sums) and disjoint sorted markers.
+
+    Every point is plain, type I or type II; the labels are all one kind or mixed.
+    """
+    m = draw(st.integers(1, 40))
+    e = np.array(draw(st.lists(st.integers(0, 12), min_size=m, max_size=m))) / 4.0
+    labels = np.array(draw(st.one_of(
+        st.sampled_from([0, 1, 2]).map(lambda label: [label] * m),
+        st.lists(st.integers(0, 2), min_size=m, max_size=m))))
+    return e, np.flatnonzero(labels == 1), np.flatnonzero(labels == 2)
+
+
+class TestRecord:
+    @given(errors_and_markers())
+    def test_matches_brute_force(self, case):
+        e, k1, k2 = case
+        values, two = e.tolist(), set(k2.tolist())
+        not_two = [x for i, x in enumerate(values) if i not in two]
+        expected = dict(
+            iteration=3,
+            dofs=17,
+            rmse=math.sqrt(sum(x * x for x in values) / len(values)),
+            max=max(values),
+            max_type_one=max([values[i] for i in k1.tolist()], default=0.0),
+            max_not_type_two=max(not_two, default=0.0),
+            n_type_one=len(k1),
+            n_type_two=len(k2),
+        )
+        record = _record(3, 17, e, k1, k2)
+        got = {name: getattr(record, name) for name in expected}
+        assert got == expected
+        assert [type(v) for v in got.values()] == [type(v) for v in expected.values()]
 
 
 class TestRwlsFit:
@@ -344,6 +383,26 @@ class TestFoldedRwlsFit:
         cloud = WeightedPointCloud(sites, np.sin(9.0 * sites), markers=markers)
         with pytest.raises(RankDeficiencyError):
             rwls_fit(SplineSpace(kv), cloud, FitConfig(tol_i=1e-6, max_iter=4))
+
+    def test_penalized_band_is_ordered_on_the_factored_system(self, monkeypatch):
+        """The folded triangle fills in beyond ``P``'s pattern: ordered by ``P`` alone,
+        this bicubic fit handed ``solveh_banded`` a band of 107 rows; ordered by the
+        system it factors, 71 (scipy 1.17)."""
+        bands = []
+        solveh_banded = scipy.linalg.solveh_banded
+        monkeypatch.setattr(scipy.linalg, "solveh_banded",
+                            lambda ab, *args, **kwargs: bands.append(ab.shape[0])
+                            or solveh_banded(ab, *args, **kwargs))
+        rng = np.random.default_rng(0)
+        kv = make_open_knot_vector((0.0, 1.0), 3, uniform_interior((0.0, 1.0), 8))
+        sites = rng.uniform(0.0, 1.0, (3000, 2))
+        markers = np.zeros(3000, dtype=int)
+        markers[rng.choice(3000, 100, replace=False)] = 1
+        values = np.sin(4.0 * sites[:, 0]) * np.cos(3.0 * sites[:, 1])
+        cloud = WeightedPointCloud(sites, values, markers=markers)
+        rwls_fit(SplineSpace([kv, kv]), cloud, FitConfig(tol_i=1e-9, lam=1e-4, max_iter=3))
+        assert len(bands) == 3
+        assert max(bands) <= 75
 
 
 class TestInitMarkers:

@@ -28,7 +28,6 @@ from splinefit import (
     collocation_hierarchical,
     collocation_matrix,
     make_open_knot_vector,
-    metrics,
     solve_penalized_wls,
     solve_wls,
     uniform_interior,
@@ -569,30 +568,6 @@ class TestWeightedSolver:
 
 
 class TestMetrics:
-    def test_exact_interpolant_has_zero_errors(self, quad_spline_space):
-        kv = quad_spline_space.knot_vectors[0]
-        sites = kv.greville()
-        f = np.cos(sites)
-        B = collocation_matrix(quad_spline_space, sites)
-        fn = SplineFunction(quad_spline_space, np.linalg.solve(B, f))
-        result = metrics(fn, WeightedPointCloud(sites, f))
-        assert result.max < 1e-12
-
-    def test_matches_bruteforce_recomputation(self, quad_spline_space):
-        rng = np.random.default_rng(31)
-        sites = rng.uniform(-5, 5, 40)
-        values = rng.normal(size=(40, 2))
-        coeffs = rng.normal(size=(5, 2))
-        fn = SplineFunction(quad_spline_space, coeffs)
-        result = metrics(fn, WeightedPointCloud(sites, values))
-        expected = np.array(
-            [np.linalg.norm(fn.evaluate([x]) - v) for x, v in zip(sites, values)]
-        )
-        np.testing.assert_allclose(result.errors, expected, atol=1e-14)
-        assert result.rmse == pytest.approx(np.sqrt(np.mean(expected**2)))
-        assert result.max == pytest.approx(expected.max())
-        assert result.rmse <= result.max
-
     def test_decomposition_cross_check(self, quad_poly_space, seven_cloud):
         """Production solver agrees with the convex-combination route."""
         from splinefit import decompose
