@@ -25,6 +25,7 @@ from .hierarchical import (
 )
 from .spline_core import SplineFunction, WeightedPointCloud
 from .wls import (
+    _csr_penalty,
     _fold_rows,
     assemble_thin_plate,
     solve_penalized_wls,
@@ -196,7 +197,7 @@ def rwls_fit(space, cloud: WeightedPointCloud, config: FitConfig) -> FitReport:
     """
     import scipy.sparse
     B = space.basis_matrix(cloud.sites)
-    P = assemble_thin_plate(space) if config.lam > 0 else None
+    P = _csr_penalty(assemble_thin_plate(space)) if config.lam > 0 else None
     w = cloud.weights.copy()
     f = cloud.values
     k1 = np.sort(cloud.type_one)
@@ -278,7 +279,7 @@ def adaptive_rwls_fit(
     stagnant = 0
     for loop in range(1, config.max_levels + 1):
         B = collocation_hierarchical(h, cloud.sites)
-        P = assemble_thin_plate(h) if config.lam > 0 else None
+        P = _csr_penalty(assemble_thin_plate(h)) if config.lam > 0 else None
         coeffs = solve_penalized_wls(B, w, f, P, config.lam)
         e = np.linalg.norm(B @ coeffs - f, axis=1)
         records.append(_record(loop, h.dim, e, k1, k2))

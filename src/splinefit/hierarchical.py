@@ -131,10 +131,25 @@ class HierarchicalSpace(_RowSpace):
     def _active_sets(self):
         # A support is a union of whole level-l cells, so "inside the next
         # subdomain" is "inside the handed cells" at the level's own resolution.
+        # Both tests run on the bounding box of the level's own cells, which
+        # holds the handed cells too; only functions whose cell range lies in
+        # the box can pass the first.
         for space, own, handed in zip(self.levels, self.domains, self._handed):
-            los, his = zip(*(_function_cell_ranges(kv) for kv in space.knot_vectors))
-            inside = _window_all(own, los, his) & ~_window_all(handed, los, his)
-            yield np.flatnonzero(inside).astype(np.intp)
+            box, candidates, los, his = [], [], [], []
+            for axis, kv in enumerate(space.knot_vectors):
+                held = np.flatnonzero(own.any(axis=tuple(a for a in range(own.ndim) if a != axis)))
+                first, end = held[0], held[-1] + 1
+                lo, hi = _function_cell_ranges(kv)
+                cand = np.flatnonzero((lo >= first) & (hi <= end))
+                box.append(slice(first, end))
+                candidates.append(cand)
+                los.append(lo[cand] - first)
+                his.append(hi[cand] - first)
+            box = tuple(box)
+            inside = _window_all(own[box], los, his) & ~_window_all(handed[box], los, his)
+            index = np.nonzero(inside)
+            yield np.ravel_multi_index(
+                tuple(c[i] for c, i in zip(candidates, index)), space.dims).astype(np.intp)
 
     @classmethod
     def from_base(cls, space: SplineSpace) -> "HierarchicalSpace":

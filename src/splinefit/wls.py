@@ -3,10 +3,12 @@
 Both solvers take the collocation matrix ``B`` dense or scipy sparse and
 work on its CSR form; neither densifies it. The unpenalized solver factors
 ``sqrt(W) B c = sqrt(W) f`` by a banded block Householder QR that keeps only
-the triangle ``R``, shared across value components. The penalized solver
-forms its normal matrix ``0.5 B^T W B + lam P`` in CSR, renumbers the
-unknowns in the reverse Cuthill-McKee order of that matrix's pattern and
-factors the upper band by a banded Cholesky.
+the band of the triangle ``R``, shared across value components, and
+back-substitutes on that band. The penalized solver forms its normal matrix
+``0.5 B^T W B + lam P`` in CSR (a dense ``P`` is converted once), renumbers
+the unknowns in the reverse Cuthill-McKee order of that matrix's pattern and
+factors the upper band by a banded Cholesky. Nothing of size ``n x n`` is
+formed.
 
 Reweighting loops solve on one ``B`` with ever new weights.
 :func:`weighted_solver` does the work that depends on ``B`` and ``P`` alone
@@ -81,10 +83,15 @@ class _BandPlan:
 
     ``rows`` are the nonzero rows of ``B`` in sweep order, ``data`` their
     nonzeros row after row and ``counts`` the nonzeros per row. Each block
-    is ``(j0, hi, r0, r1, p0, p1, scatter)``: it folds rows ``r0:r1`` (the
-    nonzeros ``p0:p1``) into the window ``j0:hi`` of ``R``, and ``scatter``
-    places each nonzero in the column-major ``(r1 - r0, hi - j0 + k)`` block
-    of new rows, whatever the number ``k`` of value components.
+    is ``(j0, hi, r0, r1, p0, p1, scatter, band)``: it folds rows ``r0:r1``
+    (the nonzeros ``p0:p1``) into the window ``j0:hi`` of ``R``, and
+    ``scatter`` places each nonzero in the column-major ``(r1 - r0, hi - j0
+    + k)`` block of new rows, whatever the number ``k`` of value components.
+    After it the window's first ``len(band)`` rows are final, and ``band``
+    gives the place of each of their entries over columns ``j0:hi`` in the
+    flat LAPACK upper band storage of ``R`` with ``kd`` superdiagonals
+    (column-major ``(kd + 1, n)``); entries below the diagonal go to one
+    spare place after it.
     """
 
     shape: tuple[int, int]
@@ -92,6 +99,7 @@ class _BandPlan:
     rows: np.ndarray
     data: np.ndarray
     counts: np.ndarray
+    kd: int
     blocks: tuple
 
 
@@ -123,62 +131,74 @@ def _band_plan(B) -> _BandPlan:
     row_of = np.repeat(np.arange(rows.size), counts)
     reach = np.maximum.accumulate(np.maximum.reduceat(A.indices, A.indptr[:-1])) + 1
 
-    blocks = []
+    # Windows only grow to the right, so the rows a block leaves before the
+    # next block's first column are final, and nonzero only in its window.
     edges = np.searchsorted(first, np.arange(0, n + _BLOCK, _BLOCK))
-    for j0, r0, r1 in zip(range(0, n, _BLOCK), edges[:-1], edges[1:]):
-        if r0 == r1:
-            continue
-        hi = max(min(j0 + _BLOCK, n), reach[r1 - 1])
+    spans = [(j0, int(r0), int(r1)) for j0, r0, r1 in zip(range(0, n, _BLOCK), edges[:-1], edges[1:])
+             if r0 < r1]
+    his = [max(min(j0 + _BLOCK, n), int(reach[r1 - 1])) for j0, _, r1 in spans]
+    kd = max((hi - j0 for (j0, _, _), hi in zip(spans, his)), default=1) - 1
+    blocks = []
+    for (j0, r0, r1), hi, end in zip(spans, his, [j0 for j0, _, _ in spans[1:]] + [n]):
         p0, p1 = A.indptr[r0], A.indptr[r1]
         scatter = row_of[p0:p1] - r0 + (A.indices[p0:p1] - j0) * (r1 - r0)
-        blocks.append((j0, hi, r0, r1, p0, p1, scatter))
-    return _BandPlan((m, n), pos, rows, A.data, counts, tuple(blocks))
+        a, b = np.arange(min(end, hi) - j0)[:, None], np.arange(hi - j0)
+        band = np.where(b >= a, kd + j0 + a + (j0 + b) * kd, (kd + 1) * n)
+        blocks.append((j0, hi, r0, r1, p0, p1, scatter, band))
+    return _BandPlan((m, n), pos, rows, A.data, counts, kd, tuple(blocks))
 
 
 def _band_factor(plan: _BandPlan, w, f2) -> tuple[np.ndarray, np.ndarray]:
     """The banded QR sweep: triangle ``R`` and values ``G`` of ``sqrt(W) B c = sqrt(W) f``.
 
     ``R^T R = B^T W B`` and ``R^T G = B^T W f``, columns in ``plan.pos``
-    order, for the validated weights ``w`` and values ``f2``. Neither rank
+    order, for the validated weights ``w`` and values ``f2``. ``R`` comes in
+    LAPACK upper band storage, ``ab[kd + i - j, j] = R[i, j]`` with
+    ``plan.kd`` superdiagonals. A dense working window slides down one
+    block at a time; the rows each block finishes go straight into the band
+    and the rest of the window is carried to the next block. Neither rank
     nor the number of rows is judged.
     """
     from scipy.linalg.lapack import dtpqrt
-    n = plan.shape[1]
+    n, kd = plan.shape[1], plan.kd
     sqrt_w = np.sqrt(w[plan.rows])
     vals = plan.data * np.repeat(sqrt_w, plan.counts)
     rhs = f2[plan.rows] * sqrt_w[:, None]
 
     k = rhs.shape[1]
-    R = np.zeros((n, n), order="F")
+    ab = np.zeros((kd + 1) * n + 1)
     G = np.zeros((n, k))
-    for j0, hi, r0, r1, p0, p1, scatter in plan.blocks:
-        width = hi - j0
+    carried = np.zeros((0, k))
+    for j0, hi, r0, r1, p0, p1, scatter, band in plan.blocks:
+        width, done = hi - j0, band.shape[0]
         top = np.zeros((width + k, width + k), order="F")
-        top[:width, :width] = R[j0:hi, j0:hi]
-        top[:width, width:] = G[j0:hi]
+        c = carried.shape[0]
+        top[:c, :c] = carried[:, :c]
+        top[:c, width:] = carried[:, c:]
         new = np.zeros((r1 - r0) * (width + k))
         new[scatter] = vals[p0:p1]
         new = new.reshape((r1 - r0, width + k), order="F")
         new[:, width:] = rhs[r0:r1]
         top = dtpqrt(0, min(_BLOCK, width + k), top, new, overwrite_a=1, overwrite_b=1)[0]
-        R[j0:hi, j0:hi] = top[:width, :width]
-        G[j0:hi] = top[:width, width:]
-    return R, G
+        ab[band] = top[:done, :width]
+        G[j0:j0 + done] = top[:done, width:]
+        carried = top[done:width, done:]
+    return ab[:-1].reshape(n, kd + 1).T, G
 
 
 def _band_sweep(plan: _BandPlan, weights, f) -> np.ndarray:
     """Coefficients of the weighted problem whose structure ``plan`` holds."""
-    import scipy.linalg
+    from scipy.linalg.lapack import dtbtrs
     m, n = plan.shape
     w, f2, squeeze = _weighted_system(m, weights, f)
-    R, G = _band_factor(plan, w, f2)
-    diag = np.abs(np.diagonal(R))
+    ab, G = _band_factor(plan, w, f2)
+    diag = np.abs(ab[-1])
     if not np.all(np.isfinite(diag)):
         raise NumericError("triangular factor is not finite (the weighted system overflows)")
     rank = np.count_nonzero(diag > RANK_RTOL * diag.max())
     if rank < n:
         raise RankDeficiencyError(f"collocation matrix has numerical rank {rank} < {n}")
-    c = scipy.linalg.solve_triangular(R, G, check_finite=False)
+    c = dtbtrs(ab, G, overwrite_b=1)[0]
     return _finite(c[plan.pos], squeeze)
 
 
@@ -197,13 +217,30 @@ def _fold_rows(B, weights, f):
     """
     import scipy.sparse
     plan = _band_plan(B)
+    n, kd = plan.shape[1], plan.kd
     w, f2, _ = _weighted_system(plan.shape[0], weights, f)
-    R, G = _band_factor(plan, w, f2)
-    if not (np.all(np.isfinite(R)) and np.all(np.isfinite(G))):
+    ab, G = _band_factor(plan, w, f2)
+    if not (np.all(np.isfinite(ab)) and np.all(np.isfinite(G))):
         raise NumericError("triangular factor is not finite (the weighted system overflows)")
-    R = R[:, plan.pos]
-    keep = np.flatnonzero(R.any(axis=1))
-    return scipy.sparse.csr_matrix(R[keep]), G[keep]
+    j, t = np.nonzero(ab.T)
+    keep, row = np.unique(j + t - kd, return_inverse=True)
+    R = scipy.sparse.csr_matrix((ab[t, j], (row, np.argsort(plan.pos)[j])), shape=(keep.size, n))
+    return R, G[keep]
+
+
+def _csr_penalty(P):
+    """``P``, dense or scipy sparse, as CSR.
+
+    A dense ``P`` is scanned for its nonzeros, which is several times faster
+    than ``csr_matrix`` of it. The fit drivers call this on the dense matrix
+    ``assemble_thin_plate`` returns, so only the CSR copy outlives the call.
+    """
+    import scipy.sparse
+    if not scipy.sparse.issparse(P):
+        P = np.asarray(P, dtype=float)
+        flat = np.flatnonzero(P != 0)
+        P = scipy.sparse.coo_matrix((P.flat[flat], np.divmod(flat, P.shape[1])), shape=P.shape)
+    return scipy.sparse.csr_matrix(P, dtype=float)
 
 
 def weighted_solver(B, P=None, lam: float = 0.0):
@@ -216,10 +253,11 @@ def weighted_solver(B, P=None, lam: float = 0.0):
 
     At ``lam = 0`` (``P`` ignored, may be ``None``) this plans the banded QR
     of :func:`solve_wls`: the canonical CSR copy, the column and row orders
-    and the block layout, with its row and column scatter indices. An
-    underdetermined ``B`` raises :class:`RankDeficiencyError` here. Each
-    solve then validates its input, scales the rows by ``sqrt(w)`` and runs
-    the sweep, the rank test and the triangular solve.
+    and the block layout, with its row and column scatter indices and the
+    places of the finished rows in the band of ``R``. An underdetermined
+    ``B`` raises :class:`RankDeficiencyError` here. Each solve then
+    validates its input, scales the rows by ``sqrt(w)`` and runs the sweep,
+    the rank test on the band's diagonal and the banded triangular solve.
 
     At ``lam > 0`` this builds the CSR copies of ``B``, ``B^T`` and ``lam P``
     (``P`` dense or sparse). Each solve forms ``A = 0.5 B^T W B + lam P`` in
@@ -248,11 +286,7 @@ def weighted_solver(B, P=None, lam: float = 0.0):
     B = scipy.sparse.csr_matrix(B, dtype=float)
     Bt = B.T.tocsr()
     row_of = np.repeat(np.arange(B.shape[0]), np.diff(B.indptr))
-    if not scipy.sparse.issparse(P):  # csr_matrix of a dense P takes several times as long
-        P = np.asarray(P, dtype=float)
-        flat = np.flatnonzero(P != 0)
-        P = scipy.sparse.coo_matrix((P.flat[flat], np.divmod(flat, P.shape[1])), shape=P.shape)
-    lam_P = lam * scipy.sparse.csr_matrix(P, dtype=float)
+    lam_P = lam * _csr_penalty(P)
     order = pos = None
 
     def solve(weights, f):
@@ -290,7 +324,7 @@ def solve_wls(B, weights, f) -> np.ndarray:
     canonical CSR form, so they give the same coefficients. ``B`` is never
     densified: a sequential block Householder QR of the banded system
     ``sqrt(W) B c = sqrt(W) f`` (Lawson & Hanson, *Solving Least Squares
-    Problems*, ch. 27) keeps only the ``n x n`` triangle ``R``.
+    Problems*, ch. 27) keeps only the band of the triangle ``R``.
 
     Columns are numbered by the first row, in order of first column, that
     touches them. This keeps the order of a curve space, nearly keeps that
@@ -299,7 +333,8 @@ def solve_wls(B, weights, f) -> np.ndarray:
     their first column and swept in blocks of ``_BLOCK`` columns: a block's
     rows, with all value components as extra columns, are folded into the
     trailing window of ``R`` by one triangular-pentagonal QR, after which
-    the block's rows of ``R`` are final. One triangular solve finishes.
+    the block's rows of ``R`` are final and leave the window for LAPACK band
+    storage. One banded triangular solve finishes.
     ``weighted_solver(B)`` plans this once for many weight vectors.
 
     Raises :class:`ValueError` when a weight is not positive or a weight or

@@ -649,6 +649,53 @@ class TestFitAdaptiveCommand:
         fn = read_model(model)
         assert fn.space.num_levels >= 2
 
+    def test_e5_fit_runs_in_560_mib_of_address_space(self, tmp_path):
+        """300x300 sites on a 60x60 bicubic mesh over 4 levels, end to end through the CLI.
+
+        One BLAS thread. The fit peaked at 631 MiB of address space (``VmPeak``)
+        while the dense thin-plate ``P`` stayed alive through each solve, and at
+        491 MiB once the solver is handed its CSR copy.
+        """
+        cloud = tmp_path / "e5.csv"
+        make = (
+            "import sys\n"
+            "import numpy as np\n"
+            "import splinefit as sf\n"
+            "from splinefit.cli_io import write_point_cloud\n"
+            "g = np.linspace(-1.0, 1.0, 300)\n"
+            "X, Y = np.meshgrid(g, g, indexing='ij')\n"
+            "sites = np.column_stack([X.ravel(), Y.ravel()])\n"
+            "f = sf.evaluate_3peaks(sites[:, 0], sites[:, 1])\n"
+            "kv = sf.make_open_knot_vector((-1.0, 1.0), 3, sf.uniform_interior((-1.0, 1.0), 59))\n"
+            "cloud = sf.WeightedPointCloud(sites, f)\n"
+            "markers = np.zeros(cloud.m, dtype=int)\n"
+            "markers[sf.init_markers_from_ls(sf.SplineSpace([kv, kv]), cloud, 1e-3)] = 1\n"
+            "write_point_cloud(sys.argv[1], sf.WeightedPointCloud(sites, f, markers=markers),\n"
+            "                  weights=False)\n"
+        )
+        src = Path(splinefit.__file__).resolve().parent.parent
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+            [str(src), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", make, str(cloud)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+
+        def cap_address_space():
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (560 << 20, 560 << 20))
+
+        model, report = tmp_path / "m.json", tmp_path / "r.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "splinefit", "fit-adaptive", "--cloud", str(cloud),
+             "--degree", "3", "--mesh", "60x60", "--lambda", "1e-6", "--eps", "1e-3",
+             "--levels", "4", "--out", str(model), "--report", str(report)],
+            env=env, preexec_fn=cap_address_space, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        with open(report, newline="") as handle:
+            dofs = [int(row["dofs"]) for row in csv.DictReader(handle)]
+        assert dofs == [3969, 4281, 4353, 4527]
+        assert len(json.loads(model.read_text())["coefficients"]) == 4527
+
     def test_requires_surface_data(self, seven_csv):
         rc = main(
             ["fit-adaptive", "--cloud", seven_csv, "--degree", "3",

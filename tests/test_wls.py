@@ -198,6 +198,95 @@ class TestBandedQr:
         assert "raised: collocation matrix has numerical rank 1 < 2" in proc.stdout
 
 
+def dense_band_factor(plan, w, f2):
+    """The sweep as it was when it kept ``R`` as a dense ``n x n`` array, kept as a reference."""
+    from scipy.linalg.lapack import dtpqrt
+    n = plan.shape[1]
+    sqrt_w = np.sqrt(w[plan.rows])
+    vals = plan.data * np.repeat(sqrt_w, plan.counts)
+    rhs = f2[plan.rows] * sqrt_w[:, None]
+    k = rhs.shape[1]
+    R = np.zeros((n, n), order="F")
+    G = np.zeros((n, k))
+    for j0, hi, r0, r1, p0, p1, scatter, _ in plan.blocks:
+        width = hi - j0
+        top = np.zeros((width + k, width + k), order="F")
+        top[:width, :width] = R[j0:hi, j0:hi]
+        top[:width, width:] = G[j0:hi]
+        new = np.zeros((r1 - r0) * (width + k))
+        new[scatter] = vals[p0:p1]
+        new = new.reshape((r1 - r0, width + k), order="F")
+        new[:, width:] = rhs[r0:r1]
+        top = dtpqrt(0, min(16, width + k), top, new, overwrite_a=1, overwrite_b=1)[0]
+        R[j0:hi, j0:hi] = top[:width, :width]
+        G[j0:hi] = top[:width, width:]
+    return R, G
+
+
+def folded_problem():
+    """The stacked system ``rwls_fit`` solves: a folded triangle on top of the marked rows."""
+    B, w, f = tensor_problem()
+    vary = np.arange(0, 400, 7)
+    fixed = np.setdiff1d(np.arange(400), vary)
+    R, g = splinefit.wls._fold_rows(B[fixed], w[fixed], f[fixed, None])
+    stacked = scipy.sparse.vstack([R, B[vary]], format="csr")
+    return stacked, np.concatenate([np.ones(R.shape[0]), w[vary]]), np.concatenate([g[:, 0], f[vary]])
+
+
+SWEEP_CASES = {
+    "curve": lambda: curve_problem(columns=3)[2:],
+    "tensor": tensor_problem,
+    "hierarchical": lambda: hierarchical_problem()[1:],
+    "folded": folded_problem,
+    "underdetermined": lambda: tuple(a[:20] for a in tensor_problem()),
+}
+
+
+class TestBlockRowSweep:
+    """The sweep keeps only the rows it has finished, in band storage; it must factor
+    exactly what the dense sweep did."""
+
+    @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+    def test_triangle_and_values_bit_identical_to_dense_sweep(self, case):
+        B, w, f = SWEEP_CASES[case]()
+        plan = splinefit.wls._band_plan(B)
+        n, kd = plan.shape[1], plan.kd
+        w, f2, _ = splinefit.wls._weighted_system(plan.shape[0], w, f)
+        R_ref, G_ref = dense_band_factor(plan, w, f2)
+        ab, G = splinefit.wls._band_factor(plan, w, f2)
+        assert ab.shape == (kd + 1, n)
+        i, j = np.indices((n, n))
+        in_band = (j >= i) & (j - i <= kd)
+        assert not R_ref[~in_band].any()
+        R = np.zeros((n, n))
+        R[in_band] = ab[(kd + i - j)[in_band], j[in_band]]
+        assert R.tobytes() == np.asarray(R_ref, order="C").tobytes()
+        assert G.tobytes() == G_ref.tobytes()
+
+        # The fold's CSR is what the dense triangle gave, in B's column order.
+        R_fold, g = splinefit.wls._fold_rows(B, w, f2)
+        dense = R_ref[:, plan.pos]
+        keep = np.flatnonzero(dense.any(axis=1))
+        ref = scipy.sparse.csr_matrix(dense[keep])
+        for name in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(R_fold, name), getattr(ref, name))
+        assert R_fold.shape == ref.shape
+        assert g.tobytes() == G_ref[keep].tobytes()
+
+    def test_rank_deficiency_raises_what_the_dense_diagonal_gives(self):
+        B, w, f = curve_problem()[2:]
+        B = scipy.sparse.hstack([B, B[:, 2:3]], format="csr")
+        plan = splinefit.wls._band_plan(B)
+        R_ref, _ = dense_band_factor(plan, w, f[:, None])
+        diag = np.abs(np.diagonal(R_ref))
+        rank = np.count_nonzero(diag > RANK_RTOL * diag.max())
+        assert rank < B.shape[1]
+        message = f"collocation matrix has numerical rank {rank} < {B.shape[1]}"
+        with pytest.raises(RankDeficiencyError) as exc:
+            solve_wls(B, w, f)
+        assert str(exc.value) == message
+
+
 def interpolate_on(space, values_fn):
     """Coefficients reproducing values_fn at the Greville grid (exact if representable)."""
     pts = space.greville_points()
@@ -366,6 +455,12 @@ class TestSolvePenalizedWls:
         np.testing.assert_array_equal(
             solve_penalized_wls(csr, w, f, P, 1e-5), solve_penalized_wls(dense, w, f, P, 1e-5)
         )
+        # The fit drivers hand the solver a CSR P.
+        for B_in in (dense, csr):
+            np.testing.assert_array_equal(
+                solve_penalized_wls(B_in, w, f, scipy.sparse.csr_matrix(P), 1e-5),
+                solve_penalized_wls(B_in, w, f, P, 1e-5),
+            )
 
     def test_zero_penalty_reduces_to_wls(self, instance):
         B, w, f, P = instance
