@@ -9,7 +9,7 @@ subcommands cover the workflow:
 
 ``verify``
     Rebuild the weighted least-squares fit as a convex combination of
-    subset interpolants and compare against the direct solve.
+    subset interpolants and compare against numpy's dense least squares.
 ``fit``
     Reweighted least squares in a fixed curve space.
 ``fit-adaptive``
@@ -42,6 +42,7 @@ from .errors import (
     ModelFormatError,
     NumericError,
     PointCloudFormatError,
+    RankDeficiencyError,
 )
 from .fitting import FitConfig, FitReport, IterationRecord, adaptive_rwls_fit, rwls_fit
 from .hierarchical import HierarchicalSpace
@@ -52,11 +53,13 @@ from .spline_core import (
     SplineSpace,
     WeightedPointCloud,
     averaging_knots,
+    collocation_matrix,
     make_open_knot_vector,
     parameterize,
     uniform_interior,
 )
-from .wls import solve_wls
+# No command here solves through it; perfbench's tracer test reads ``cli_io.solve_wls``.
+from .wls import solve_wls  # noqa: F401
 
 __all__ = [
     "read_point_cloud",
@@ -454,6 +457,21 @@ def _degree_list(raw: str) -> list[int]:
         raise _UsageError(f"bad degree list {raw!r}") from None
 
 
+def _dense_lstsq(space, cloud: WeightedPointCloud) -> np.ndarray:
+    """``verify``'s reference: ``sqrt(W) B c = sqrt(W) f`` by numpy's dense least squares.
+
+    LAPACK ``gelsd`` on the dense collocation matrix, independent of the
+    banded QR in :mod:`splinefit.wls` that every fit goes through. Raises
+    :class:`RankDeficiencyError` when the numerical rank is below ``dim``.
+    """
+    root_w = np.sqrt(cloud.weights)[:, None]
+    coefficients, _, rank, _ = np.linalg.lstsq(
+        root_w * collocation_matrix(space, cloud.sites), root_w * cloud.values, rcond=None)
+    if rank < space.dim:
+        raise RankDeficiencyError(f"collocation matrix has numerical rank {rank} < {space.dim}")
+    return coefficients
+
+
 def cmd_verify(args) -> int:
     cloud = read_point_cloud(args.cloud)
     if cloud.ndim != 1:
@@ -464,8 +482,7 @@ def cmd_verify(args) -> int:
         space = _build_curve_space(args, cloud.sites)
 
     dec = decompose(space, cloud)
-    B = space.basis_matrix(cloud.sites)
-    direct = SplineFunction(space, solve_wls(B, cloud.weights, cloud.values))
+    direct = SplineFunction(space, _dense_lstsq(space, cloud))
     grid = np.linspace(space.domain[0][0], space.domain[0][1], 101)
     ref = direct.evaluate_many(grid)
     got = dec.to_function().evaluate_many(grid)

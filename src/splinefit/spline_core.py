@@ -387,8 +387,17 @@ class SplineSpace(_RowSpace):
 
 
 def collocation_matrix(space, sites) -> np.ndarray:
-    """Dense collocation matrix ``B[i, j] = basis_j(site_i)`` of a tensor or hierarchical space."""
-    return space.basis_matrix(sites).toarray()
+    """Dense collocation matrix ``B[i, j] = basis_j(site_i)`` of a tensor or hierarchical space.
+
+    Adds the basis rows into zeros on numpy alone, without ``scipy.sparse``.
+    No row repeats a column, so ``B`` equals ``basis_matrix(sites).toarray()``
+    bit for bit.
+    """
+    sites = _as_sites(sites, space.ndim)
+    values, columns, indptr = space._csr_arrays(sites, None)
+    B = np.zeros((sites.shape[0], space.dim))
+    B[np.repeat(np.arange(sites.shape[0]), np.diff(indptr)), columns] += values
+    return B
 
 
 def _as_sites(sites, ndim: int) -> np.ndarray:

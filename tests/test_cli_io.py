@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import splinefit
@@ -24,13 +24,16 @@ from splinefit import (
     PointCloudFormatError,
     ModelFormatError,
     NumericError,
+    RankDeficiencyError,
     SplineFunction,
     SplineSpace,
     WeightedPointCloud,
     averaging_knots,
+    collocation_matrix,
     curve_point_cloud,
     decompose,
     make_open_knot_vector,
+    solve_wls,
     top_gradient_markers,
     uniform_interior,
 )
@@ -47,6 +50,7 @@ from splinefit.cli_io import (
 )
 
 from conftest import SEVEN_SITES, SEVEN_VALUES
+from test_interp_decomposition import small_problems
 
 
 @pytest.fixture
@@ -486,6 +490,102 @@ class TestVerifyCommand:
         np.testing.assert_array_equal(default, uniform)
 
 
+def verify_subsets_cloud(seed):
+    """The 15-site input of the ``verify-subsets`` benchmark workload at ``seed``.
+
+    4, 4, 4 and 3 sites inside the four spans of [-5, 5], the first site
+    drawn moved to -5 and the last to 5, values ``2 sin(0.6 x)`` plus noise,
+    and random weights.
+    """
+    rng = np.random.default_rng(seed)
+    edges = np.linspace(-5.0, 5.0, 5)
+    parts = [rng.uniform(a + 0.05 * (b - a), b - 0.05 * (b - a), count)
+             for a, b, count in zip(edges[:-1], edges[1:], (4, 4, 4, 3))]
+    parts[0][0], parts[-1][-1] = -5.0, 5.0
+    sites = np.concatenate([np.sort(part) for part in parts])
+    values = 2.0 * np.sin(0.6 * sites) + rng.normal(0.0, 0.3, sites.size)
+    return WeightedPointCloud(sites, values, rng.uniform(0.2, 1.0, sites.size))
+
+
+class TestVerifyReference:
+    """``verify``'s dense least-squares reference agrees with the banded QR of ``solve_wls``."""
+
+    @staticmethod
+    def assert_agrees(space, cloud, reference, rtol=1e-12):
+        direct = solve_wls(collocation_matrix(space, cloud.sites), cloud.weights, cloud.values)
+        # Below the smallest normal number, floating point has no relative resolution.
+        gap = np.abs(reference - direct).max()
+        assert gap <= rtol * np.abs(direct).max() + np.finfo(float).tiny, gap
+
+    def run_verify(self, monkeypatch, argv):
+        """Run ``verify``: its output lines and the ``(space, cloud, coefficients)`` of its reference."""
+        seen = []
+        reference = splinefit.cli_io._dense_lstsq
+
+        def spy(space, cloud):
+            seen.append((space, cloud, reference(space, cloud)))
+            return seen[-1][2]
+
+        monkeypatch.setattr(splinefit.cli_io, "_dense_lstsq", spy)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(argv) == 0
+        lines = out.getvalue().splitlines()
+        assert lines[-1] == "PASS"
+        (case,) = seen
+        return lines, case
+
+    @pytest.mark.parametrize("basis", [
+        ["--basis", "poly"],
+        ["--basis", "spline", "--knots=-5,-5,-5,-1.6666666666666667,1.6666666666666667,5,5,5"],
+    ])
+    def test_seven_sites(self, monkeypatch, seven_csv, basis):
+        _, case = self.run_verify(
+            monkeypatch, ["verify", "--cloud", seven_csv, "--degree", "2", *basis])
+        self.assert_agrees(*case)
+
+    @pytest.mark.parametrize("seed, residual", [(1, "0.000e+00"), (2, "7.007e-16"),
+                                                (3, "4.635e-16")])
+    def test_verify_subsets_problem(self, monkeypatch, tmp_path, seed, residual):
+        """Agreement, and the lines the reference does not touch: counts, residual, verdict."""
+        path = tmp_path / "verify.csv"
+        write_point_cloud(path, verify_subsets_cloud(seed), markers=False)
+        lines, (space, cloud, reference) = self.run_verify(
+            monkeypatch, ["verify", "--cloud", str(path), "--basis", "spline", "--degree", "2",
+                          "--interior-knots", "3"])
+        assert (space.dim, cloud.m) == (6, 15)
+        self.assert_agrees(space, cloud, reference)
+        assert lines[0] == "subsets: 5005 total, 3380 admissible"
+        assert lines[2:] == [f"cauchy-binet relative residual: {residual}", "PASS"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_problems())
+    def test_small_problems(self, problem):
+        """1e-12 where the condition allows it, else the first-order bound of least squares.
+
+        Both solvers are backward stable, so their coefficients may differ by
+        ``eps (kappa + kappa^2 eta)`` relative, with ``kappa`` the condition of
+        ``sqrt(W) B`` and ``eta = |r| / (|sqrt(W) B| |c|)`` the relative residual.
+        """
+        space, cloud = problem
+        try:
+            reference = splinefit.cli_io._dense_lstsq(space, cloud)
+        except RankDeficiencyError:
+            assume(False)
+        A = np.sqrt(cloud.weights)[:, None] * collocation_matrix(space, cloud.sites)
+        kappa = np.linalg.cond(A)
+        residual = np.linalg.norm(np.sqrt(cloud.weights)[:, None] * cloud.values - A @ reference)
+        scale = np.linalg.norm(A, 2) * np.linalg.norm(reference)
+        eta = residual / scale if scale else 0.0
+        self.assert_agrees(space, cloud, reference, max(1e-12, 1e-15 * (kappa + kappa**2 * eta)))
+
+    def test_rank_deficiency_is_a_numeric_error(self):
+        """Two distinct sites for three functions: numerical rank 2."""
+        space = SplineSpace(make_open_knot_vector((0.0, 1.0), 2, []))
+        cloud = WeightedPointCloud([0.0, 0.5, 0.5], [1.0, 2.0, 2.0])
+        with pytest.raises(RankDeficiencyError, match="rank 2 < 3"):
+            splinefit.cli_io._dense_lstsq(space, cloud)
+
+
 class TestFitCommand:
     def test_fit_writes_model_and_report(self, tmp_path, capsys):
         cloud0 = curve_point_cloud(3)
@@ -919,6 +1019,27 @@ class TestStartup:
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert proc.stdout.splitlines()[-1].strip() == "0"
         assert len(out.read_text().splitlines()) == 1 + 81
+
+    def test_verify_never_loads_scipy(self, seven_csv):
+        """``verify`` with either basis, ``decompose`` and ``interpolate_subset`` run on numpy."""
+        script = (
+            "import sys\n"
+            "from splinefit import SplineSpace, decompose, interpolate_subset\n"
+            "from splinefit import make_open_knot_vector\n"
+            "from splinefit.cli_io import main, read_point_cloud\n"
+            f"path = {seven_csv!r}\n"
+            "rcs = [main(['verify', '--cloud', path, '--degree', '2', *basis]) for basis in (\n"
+            "    ['--basis', 'poly'], ['--basis', 'spline', '--interior-knots', '2'])]\n"
+            "space = SplineSpace(make_open_knot_vector((-5.0, 5.0), 2, [-5.0 / 3.0, 5.0 / 3.0]))\n"
+            "cloud = read_point_cloud(path)\n"
+            "dec = decompose(space, cloud)\n"
+            "cert = interpolate_subset(space, cloud, (0, 2, 3, 4, 6))\n"
+            "print(*rcs, len(dec.subsets), cert.admissible,\n"
+            "      *(name for name in sys.modules if name.startswith('scipy')))\n"
+        )
+        proc = fresh_python("-c", script)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stdout.splitlines()[-1].split() == ["0", "0", "21", "True"]
 
     def test_hierarchical_point_evaluation_loads_no_scipy(self):
         """``eval_basis`` and ``eval_basis_derivatives`` of a refined space build no matrix."""

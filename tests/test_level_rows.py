@@ -4,7 +4,9 @@ The reference below is the evaluation that ran before the restriction: each
 level with active functions is evaluated at every site, its rows are put
 side by side with the other levels', and the sentinel columns are dropped.
 Restricting a level to the sites whose level cell lies in its subdomain must
-give the same bits, for the basis matrix and for ``evaluate_many``.
+give the same bits, for the basis matrix and for ``evaluate_many``. The dense
+``collocation_matrix``, which adds the rows into zeros itself, must hold the
+bits of the densified sparse basis matrix.
 """
 
 import itertools
@@ -13,7 +15,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splinefit import CellId, HierarchicalSpace, KnotVector, SplineFunction, SplineSpace
+from splinefit import (
+    CellId,
+    HierarchicalSpace,
+    KnotVector,
+    SplineFunction,
+    SplineSpace,
+    collocation_matrix,
+)
 
 
 def reference_tensor_rows(space, sites, alpha):
@@ -125,3 +134,18 @@ class TestRestrictedLevelsMatchEveryLevelAtEverySite:
             reference_evaluate(base, sites, [reference_tensor_rows(base.space, sites, a)])
             for a in alphas])
         assert base.evaluate_many(sites, alphas).tobytes() == expected.tobytes()
+
+
+class TestDenseCollocationMatchesTheSparseMatrix:
+    @settings(max_examples=40)
+    @given(h=refined_spaces(), data=st.data())
+    def test_bit_for_bit(self, h, data):
+        """Refined spaces and their tensor base, at breakpoints, corners and both domain ends."""
+        sites = probe_sites(h, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+        for space in (h, h.levels[0]):
+            dense = collocation_matrix(space, sites)
+            assert dense.shape == (sites.shape[0], space.dim)
+            assert dense.tobytes() == space.basis_matrix(sites).toarray().tobytes()
+        if h.ndim == 1:  # a curve also takes its sites as a flat array
+            flat = collocation_matrix(h, sites[:, 0])
+            assert flat.tobytes() == h.basis_matrix(sites).toarray().tobytes()
