@@ -501,8 +501,8 @@ def _fit_config(args) -> FitConfig:
     mode, param = _parse_alpha(args.alpha)
     kwargs = dict(tol_i=args.tol_i, tol_ii=args.tol_ii, lam=args.lam, alpha_mode=mode)
     if args.tol_i is None:
-        # fit-adaptive without --tol-i: a multiple of the refinement threshold
-        kwargs["tol_i"] = args.tol_i_ratio * args.eps
+        # fit-adaptive without --tol-i: ten times the refinement threshold
+        kwargs["tol_i"] = 10 * args.eps
     if mode == "fixed_factor" and param is not None:
         kwargs["rho"] = param
     if mode == "irls" and param is not None:
@@ -623,7 +623,6 @@ def _build_parser() -> _Parser:
     fita.add_argument("--mesh", required=True, help="base mesh cells, e.g. 15x15")
     fita.add_argument("--eps", type=float, required=True)
     fita.add_argument("--tol-i", type=float, default=None)
-    fita.add_argument("--tol-i-ratio", type=float, default=10.0)
     fita.add_argument("--tol-ii", type=float, default=float("inf"))
     fita.add_argument("--alpha", default="fixed:1.25")
     fita.add_argument("--levels", type=int, default=5)

@@ -23,7 +23,7 @@ from .hierarchical import (
     collocation_hierarchical,
     mark_cells,
 )
-from .spline_core import SplineFunction, WeightedPointCloud
+from .spline_core import SplineFunction, WeightedPointCloud, _point_indices
 from .wls import (
     _csr_penalty,
     _fold_rows,
@@ -74,8 +74,6 @@ class FitConfig:
     alpha_mode: str = "error_driven"
     rho: float = 1.25
     delta: float = 1e-8
-    update_all_marked: bool = False
-    refinement_buffer: bool = True
 
     def __post_init__(self):
         if not self.tol_i > 0 or not self.tol_ii > 0:
@@ -122,8 +120,8 @@ class FitReport:
         return len(self.records)
 
 
-def update_weights(errors, weights, type_one, type_two, mode: str = "error_driven",
-                   rho: float = 1.25, delta: float = 1e-8) -> np.ndarray:
+def update_weights(errors, weights, type_one, type_two, mode: str = FitConfig.alpha_mode,
+                   rho: float = FitConfig.rho, delta: float = FitConfig.delta) -> np.ndarray:
     """Multiply marked weights by the mode's factor; unmarked weights unchanged.
 
     Type I weights grow (factor ``1 + e`` or ``rho``), type II weights
@@ -131,14 +129,15 @@ def update_weights(errors, weights, type_one, type_two, mode: str = "error_drive
     ``1 / max(delta, e)``). In IRLS mode type I markers keep the
     error-driven growth, since the IRLS rule only describes down-weighting.
     Raises :class:`NumericError` when an updated weight overflows to
-    infinity or underflows to zero.
+    infinity or underflows to zero, and ``ValueError`` for a marker index
+    that is not an integer in ``0..len(weights)-1``.
     """
     if mode not in _ALPHA_MODES:
         raise ValueError(f"unknown weight update mode {mode!r}")
     e = np.asarray(errors, dtype=float)
     w = np.asarray(weights, dtype=float).copy()
-    one = np.asarray(type_one, dtype=int)
-    two = np.asarray(type_two, dtype=int)
+    one = _point_indices(type_one, w.size)
+    two = _point_indices(type_two, w.size)
     with np.errstate(over="ignore"):
         if mode == "fixed_factor":
             w[one] *= rho
@@ -186,8 +185,7 @@ def rwls_fit(space, cloud: WeightedPointCloud, config: FitConfig) -> FitReport:
     weights of the still-violating marked points and repeat, up to
     ``max_iter`` solves. When an iteration changes no weight the state is a
     fixed point and the loop stops (with no markers this is a single
-    ordinary least-squares solve). With ``update_all_marked`` every marked
-    weight is updated each iteration regardless of its own error.
+    ordinary least-squares solve).
 
     Unmarked weights never change, so their rows are folded into a triangle
     once (:func:`splinefit.wls._fold_rows`) and each solve sweeps only the
@@ -200,8 +198,7 @@ def rwls_fit(space, cloud: WeightedPointCloud, config: FitConfig) -> FitReport:
     P = _csr_penalty(assemble_thin_plate(space)) if config.lam > 0 else None
     w = cloud.weights.copy()
     f = cloud.values
-    k1 = np.sort(cloud.type_one)
-    k2 = np.sort(cloud.type_two)
+    k1, k2 = cloud.type_one, cloud.type_two
 
     # Only marked weights change: the other rows are folded into their
     # triangle once, and each solve sweeps it and the marked rows alone.
@@ -224,11 +221,8 @@ def rwls_fit(space, cloud: WeightedPointCloud, config: FitConfig) -> FitReport:
         if last.max_type_one <= config.tol_i and last.max_not_type_two <= config.tol_ii:
             termination = "tolerance"
             break
-        if config.update_all_marked:
-            upd1, upd2 = k1, k2
-        else:
-            upd1 = k1[e[k1] > config.tol_i]
-            upd2 = k2[e[k2] < config.tol_ii]
+        upd1 = k1[e[k1] > config.tol_i]
+        upd2 = k2[e[k2] < config.tol_ii]
         if upd1.size == 0 and upd2.size == 0:
             termination = "stalled"
             break
@@ -244,32 +238,24 @@ def init_markers_from_ls(space, cloud: WeightedPointCloud, eps: float) -> np.nda
     return np.flatnonzero(e > eps)
 
 
-def adaptive_rwls_fit(
-    space,
-    cloud: WeightedPointCloud,
-    config: FitConfig,
-    type_one=None,
-    type_two=None,
-) -> FitReport:
+def adaptive_rwls_fit(space, cloud: WeightedPointCloud, config: FitConfig) -> FitReport:
     """Reweighted adaptive least squares over a hierarchical spline space.
 
     Per level: solve the thin-plate-penalized weighted problem, evaluate the
     pointwise error indicator, retire markers that meet their tolerance
     (type I below ``tol_i``, type II above ``tol_ii``) and reweight the
     rest, then dyadically refine the leaf cells holding sites with error
-    above ``eps``. Stops when every error is within ``eps`` or after
-    ``max_levels`` solves. Marker sets never gain members. Raises
-    :class:`StagnationError` when refinement adds no degrees of freedom two
-    levels running.
+    above ``eps`` together with their one-ring of neighbor cells. Stops
+    when every error is within ``eps`` or after ``max_levels`` solves. The
+    markers are the cloud's own type I and type II labels, and the marker
+    sets never gain members. Raises :class:`StagnationError` when
+    refinement adds no degrees of freedom two levels running.
     """
     if isinstance(space, HierarchicalSpace):
         h = space
     else:
         h = HierarchicalSpace.from_base(space)
-    k1 = np.sort(cloud.type_one if type_one is None else np.asarray(type_one, dtype=int))
-    k2 = np.sort(cloud.type_two if type_two is None else np.asarray(type_two, dtype=int))
-    if np.intersect1d(k1, k2).size:
-        raise ValueError("type I and type II marker sets must be disjoint")
+    k1, k2 = cloud.type_one, cloud.type_two
     w = cloud.weights.copy()
     f = cloud.values
 
@@ -297,7 +283,7 @@ def adaptive_rwls_fit(
         w = update_weights(e, w, k1, k2, config.alpha_mode, config.rho, config.delta)
 
         marked = mark_cells(h, cloud.sites, e, config.eps)
-        refined = h.refine(marked, buffer=config.refinement_buffer)
+        refined = h.refine(marked)
         if refined.dim == h.dim:
             stagnant += 1
             if stagnant >= 2:

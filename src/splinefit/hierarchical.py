@@ -15,6 +15,7 @@ conditioning of refined spaces.
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -191,21 +192,28 @@ class HierarchicalSpace(_RowSpace):
         The children of every marked cell join the next level's subdomain;
         with ``buffer`` a one-ring of same-level neighbor cells (clipped to
         the current subdomain) is refined along, so functions gain support
-        in the refined region. Marking a cell outside its level's subdomain
-        violates nesting and raises ``ValueError``.
+        in the refined region. Levels are processed coarsest first, so a
+        mark may target a cell that a coarser mark creates. A level or index
+        that is not an integer (by ``operator.index``), a level outside the
+        space, an index outside its level's cells and a cell outside its
+        level's subdomain (a nesting violation) raise ``ValueError``.
         """
         per_level: dict[int, list[tuple[int, ...]]] = {}
         for cell in marked:
-            cid = CellId(int(cell[0]), tuple(int(i) for i in cell[1]))
-            per_level.setdefault(cid.level, []).append(cid.index)
+            try:
+                level, index = operator.index(cell[0]), tuple(map(operator.index, cell[1]))
+            except TypeError:
+                raise ValueError(
+                    f"marked cell {cell!r} needs an integer level and index") from None
+            per_level.setdefault(level, []).append(index)
         if not per_level:
             return HierarchicalSpace(self.levels, self.domains)
 
         levels = list(self.levels)
         domains = [d.copy() for d in self.domains]
         for lev in sorted(per_level):
-            if lev >= len(levels):
-                raise ValueError(f"marked cell at unknown level {lev}")
+            if not 0 <= lev < len(levels):
+                raise ValueError(f"marked cell {CellId(lev, per_level[lev][0])} at unknown level")
             mask = np.zeros_like(domains[lev])
             for index in per_level[lev]:
                 if len(index) != self.ndim or not all(
@@ -302,7 +310,7 @@ def build_hierarchical(base: SplineSpace, marked_per_level) -> HierarchicalSpace
     index tuples; levels are processed coarsest first so marks at level
     ``l + 1`` may target cells created by the level-``l`` marks.
     """
-    marked = [CellId(lev, tuple(ix)) for lev, cells in marked_per_level.items() for ix in cells]
+    marked = [CellId(lev, ix) for lev, cells in marked_per_level.items() for ix in cells]
     return HierarchicalSpace.from_base(base).refine(marked, buffer=False)
 
 

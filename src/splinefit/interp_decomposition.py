@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NumericError, RankDeficiencyError, SubsetCapError
-from .spline_core import SplineFunction, WeightedPointCloud, collocation_matrix
+from .spline_core import SplineFunction, WeightedPointCloud, _point_indices, collocation_matrix
 from .wls import solve_wls, weighted_solver
 
 __all__ = [
@@ -39,6 +39,9 @@ __all__ = [
 
 # Refuse enumerations with more than this many subsets.
 SUBSET_CAP = 10**6
+
+# IRLS floors each pointwise error at this before raising it to the power p - 2 < 0.
+_IRLS_FLOOR = 1e-8
 
 # A subset minor counts as singular when |det| falls below this factor times
 # the product of its row max-norms (the Hadamard scale of the matrix).
@@ -114,7 +117,7 @@ def _solve_subsets(B, weights, values, K):
 
 def interpolate_subset(space, cloud: WeightedPointCloud, subset) -> SubsetCertificate:
     """Solve (or reject) the interpolation problem on the given index subset."""
-    subset = tuple(int(i) for i in subset)
+    subset = tuple(_point_indices(subset, cloud.m).tolist())
     if len(subset) != space.dim:
         raise ValueError(
             f"subset size {len(subset)} must equal the space dimension {space.dim}"
@@ -246,13 +249,11 @@ def weight_limit_solution(space, cloud: WeightedPointCloud, subset, magnitude: f
     """
     if magnitude <= 0:
         raise ValueError("magnitude must be strictly positive")
-    subset = np.asarray(sorted(int(i) for i in subset), dtype=int)
+    subset = np.sort(_point_indices(subset, cloud.m))
     if subset.size > space.dim:
         raise ValueError(
             f"subset size {subset.size} exceeds the space dimension {space.dim}"
         )
-    if subset.size and (subset[0] < 0 or subset[-1] >= cloud.m):
-        raise ValueError("subset indices out of range")
     if np.unique(subset).size != subset.size:
         raise ValueError("subset indices must be distinct")
     weights = cloud.weights.copy()
@@ -261,36 +262,19 @@ def weight_limit_solution(space, cloud: WeightedPointCloud, subset, magnitude: f
     return SplineFunction(space, coeffs)
 
 
-def irls_solve(
-    space,
-    cloud: WeightedPointCloud,
-    p: float,
-    max_iter: int,
-    exponent_mode: str = "standard",
-    delta: float = 1e-8,
-):
+def irls_solve(space, cloud: WeightedPointCloud, p: float, max_iter: int):
     """Iteratively reweighted least squares for the ``l^p`` fitting problem.
 
     Starting from unit weights, each iteration solves a weighted
-    least-squares problem and resets the weights to ``max(delta, e_i)``
-    raised to ``p - 2`` (``standard`` mode, the classical choice whose
-    weighted objective matches the ``l^p`` one) or to the halved exponent
-    ``(p - 2) / 2`` (``half`` mode); the floor ``delta`` keeps the update
-    stable. Returns the last iterate and the ``l^p`` objective value of
-    every iterate.
+    least-squares problem and resets the weights to ``max(1e-8, e_i)``
+    raised to ``p - 2``, the classical choice whose weighted objective
+    matches the ``l^p`` one; the floor keeps the update stable. Returns the
+    last iterate and the ``l^p`` objective value of every iterate.
     """
     if not 1.0 < p < 2.0:
         raise ValueError("p must lie strictly between 1 and 2")
     if max_iter < 1:
         raise ValueError("need at least one iteration")
-    if delta <= 0:
-        raise ValueError("delta must be strictly positive")
-    if exponent_mode == "standard":
-        exponent = p - 2.0
-    elif exponent_mode == "half":
-        exponent = (p - 2.0) / 2.0
-    else:
-        raise ValueError(f"unknown exponent mode {exponent_mode!r}")
 
     B = space.basis_matrix(cloud.sites)
     f = cloud.values
@@ -303,5 +287,5 @@ def irls_solve(
         residual = B @ coeffs - f
         objective_trace.append(float(np.sum(np.abs(residual) ** p)))
         e = np.linalg.norm(residual, axis=1)
-        weights = np.maximum(delta, e) ** exponent
+        weights = np.maximum(_IRLS_FLOOR, e) ** (p - 2.0)
     return SplineFunction(space, coeffs), objective_trace

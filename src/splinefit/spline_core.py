@@ -15,6 +15,7 @@ values at the right end of the domain are the limits from the left.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -409,6 +410,27 @@ def _as_sites(sites, ndim: int) -> np.ndarray:
     if s.ndim != 2 or s.shape[1] != ndim:
         raise ValueError(f"sites must be an (m, {ndim}) array, got shape {s.shape}")
     return s
+
+
+def _point_indices(indices, m: int) -> np.ndarray:
+    """``indices`` as an ``intp`` array of point indices, each an integer in ``0..m-1``.
+
+    An entry that is not an integer by ``operator.index`` (a float among
+    them) or lies outside the range raises ``ValueError`` naming it, where
+    numpy indexing would truncate the float or wrap the negative index.
+    """
+    arr = np.asarray(indices)
+    if arr.dtype.kind not in "iu":
+        for i in np.asarray(indices, dtype=object).ravel():
+            try:
+                operator.index(i)
+            except TypeError:
+                raise ValueError(f"point index {i!r} is not an integer") from None
+        arr = arr.astype(np.intp)
+    bad = (arr < 0) | (arr >= m)
+    if bad.any():
+        raise ValueError(f"point index {arr[bad].flat[0]} out of range for {m} points")
+    return arr.astype(np.intp, copy=False)
 
 
 def schoenberg_whitney_admissible(space: SplineSpace, sites) -> bool:

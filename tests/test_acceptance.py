@@ -231,7 +231,7 @@ class TestCriterion6Irls:
         """20 reweighted iterations never increase the p = 1.5 objective."""
         cloud = WeightedPointCloud(SEVEN_SITES, SEVEN_VALUES)
         space = quad_poly()
-        fn, trace = irls_solve(space, cloud, 1.5, 20, exponent_mode="standard")
+        fn, trace = irls_solve(space, cloud, 1.5, 20)
         monotone = all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
         beats_ls = trace[-1] <= trace[0] + 1e-12
         report(
@@ -296,8 +296,11 @@ class TestCriterion8AdaptiveSurface:
             tol_i=10 * eps, tol_ii=float("inf"), eps=eps, lam=1e-6,
             max_levels=5, alpha_mode="fixed_factor", rho=1.25,
         )
-        rwls = adaptive_rwls_fit(base, cloud, config, type_one=markers)
-        frozen = adaptive_rwls_fit(base, cloud, config, type_one=[], type_two=[])
+        labels = np.zeros(cloud.m, dtype=int)
+        labels[markers] = 1
+        marked = WeightedPointCloud(cloud.sites, cloud.values, markers=labels)
+        rwls = adaptive_rwls_fit(base, marked, config)
+        frozen = adaptive_rwls_fit(base, cloud, config)
 
         maxes = [r.max for r in rwls.records]
         strictly_decreasing = all(b < a for a, b in zip(maxes, maxes[1:]))

@@ -1,10 +1,13 @@
 """File formats, CLI commands, exit codes."""
 
+import argparse
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -736,7 +739,7 @@ class TestFitAdaptiveCommand:
         mesh = tmp_path / "mesh.csv"
         rc = main(
             ["fit-adaptive", "--cloud", str(cloud_path), "--degree", "3",
-             "--mesh", "8x8", "--eps", "4e-2", "--tol-i-ratio", "10",
+             "--mesh", "8x8", "--eps", "4e-2",
              "--alpha", "fixed:1.25", "--levels", "2", "--lambda", "1e-6",
              "--out", str(model), "--report", str(report), "--mesh-dump", str(mesh)]
         )
@@ -956,6 +959,39 @@ class TestParserReuse:
         )
         assert not {"eps", "levels", "mesh", "basis"} & plain.keys()
         assert cli_io._build_parser() is cli_io._build_parser()
+
+
+class TestSettingsHaveCallers:
+    # Between them these command lines move every FitConfig field off its default.
+    COMMAND_LINES = [
+        ["fit", "--cloud", "c.csv", "--tol-i", "1e-5", "--tol-ii", "1e-2", "--lambda", "0.5",
+         "--max-iter", "7", "--alpha", "fixed:2"],
+        ["fit", "--cloud", "c.csv", "--alpha", "irls:1e-3"],
+        ["fit-adaptive", "--cloud", "c.csv", "--mesh", "4x4", "--eps", "1e-2", "--levels", "2"],
+    ]
+
+    def test_every_fit_config_field_is_set_by_a_command_line(self):
+        """A setting no ``fit`` or ``fit-adaptive`` command can change is a test-only switch."""
+        from splinefit import FitConfig, cli_io
+
+        default = FitConfig()
+        moved = set()
+        for argv in self.COMMAND_LINES:
+            config = cli_io._fit_config(cli_io._build_parser().parse_args(argv))
+            moved |= {f.name for f in dataclasses.fields(FitConfig)
+                      if getattr(config, f.name) != getattr(default, f.name)}
+        assert moved == {f.name for f in dataclasses.fields(FitConfig)}
+
+    def test_every_option_in_the_readme_is_a_cli_option(self):
+        from splinefit import cli_io
+
+        commands, = (action.choices for action in cli_io._build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction))
+        options = {option for command in commands.values()
+                   for action in command._actions for option in action.option_strings}
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme))
+        assert named and named <= options, sorted(named - options)
 
 
 def fresh_python(*args):

@@ -44,6 +44,13 @@ def grid_cloud_3peaks(samples):
     return WeightedPointCloud(sites, evaluate_3peaks(sites[:, 0], sites[:, 1]))
 
 
+def type_one_cloud(cloud, indices):
+    """``cloud`` with the points at ``indices`` marked type I and every other point plain."""
+    markers = np.zeros(cloud.m, dtype=int)
+    markers[indices] = 1
+    return WeightedPointCloud(cloud.sites, cloud.values, cloud.weights, markers)
+
+
 def surface_space(degree, cells):
     kv = make_open_knot_vector((-1.0, 1.0), degree, uniform_interior((-1.0, 1.0), cells - 1))
     return SplineSpace([kv, kv])
@@ -99,6 +106,14 @@ class TestUpdateWeights:
             warnings.simplefilter("error")
             with pytest.raises(NumericError, match="weight of point 0"):
                 update_weights(errors, weights, one, two, mode=mode, rho=rho, delta=1e-8)
+
+    @pytest.mark.parametrize("one, two, bad", [([-1], [], "-1"), ([0.7], [], "0.7"),
+                                               ([4], [], "4"), ([], [1, 2.0], "2.0")],
+                             ids=["negative", "float", "past-the-end", "type-two-float"])
+    def test_rejects_bad_point_index(self, one, two, bad):
+        """Neither wrapped, truncated nor left to numpy's ``IndexError``."""
+        with pytest.raises(ValueError, match=rf"^point index {bad} "):
+            update_weights([0.1] * 4, [1.0] * 4, one, two)
 
     def test_unmarked_untouched(self):
         w = update_weights([0.5, 0.5, 0.5], [1.0, 1.0, 1.0], [0], [2], mode="error_driven")
@@ -194,21 +209,6 @@ class TestRwlsFit:
         config = FitConfig(tol_i=1e-12, tol_ii=1e-12, max_iter=7)
         report = rwls_fit(quad_spline_space, cloud, config)
         assert report.iterations <= 7
-
-    def test_update_all_marked_restores_unconditional_updates(
-        self, quad_spline_space, seven_sites, seven_values
-    ):
-        """The literal loop bumps every marked weight each iteration."""
-        markers = np.zeros(7, dtype=int)
-        markers[[3, 4]] = 1
-        cloud = WeightedPointCloud(seven_sites, seven_values, markers=markers)
-        config = FitConfig(
-            tol_i=1e-12, tol_ii=float("inf"), max_iter=6,
-            alpha_mode="fixed_factor", rho=1.25, update_all_marked=True,
-        )
-        rep = rwls_fit(quad_spline_space, cloud, config)
-        # one update per loop body, regardless of per-point convergence
-        np.testing.assert_allclose(rep.weights[[3, 4]], 1.25**6)
 
     def test_determinism(self, quad_spline_space, seven_sites, seven_values):
         markers = np.zeros(7, dtype=int)
@@ -468,20 +468,19 @@ class TestAdaptiveFit:
             eps=5e-3, tol_i=5e-2, tol_ii=float("inf"), lam=1e-6, max_levels=3,
             alpha_mode="fixed_factor", rho=1.25,
         )
-        report = adaptive_rwls_fit(space, cloud0, config, type_one=k1)
+        report = adaptive_rwls_fit(space, type_one_cloud(cloud0, k1), config)
         counts = [r.n_type_one for r in report.records]
         assert counts[0] == k1.size
         assert all(b <= a for a, b in zip(counts, counts[1:]))
 
     def test_stagnation_raises(self):
-        """Isolated unbuffered marks activate nothing and trip the guard."""
-        space = surface_space(2, 6)
+        """At degree 6, buffered marks around isolated sites activate nothing and trip the guard."""
+        space = surface_space(6, 6)
         sites = np.array([[0.42, 0.42], [-0.8, 0.6], [0.7, -0.7], [-0.2, -0.9], [0.9, 0.9]])
         values = np.array([5.0, -3.0, 4.0, -2.0, 1.0])
         cloud = WeightedPointCloud(sites, values)
         config = FitConfig(
             eps=1e-12, tol_i=1e-12, tol_ii=float("inf"), lam=1e-6, max_levels=6,
-            refinement_buffer=False,
         )
         with pytest.raises(StagnationError):
             adaptive_rwls_fit(space, cloud, config)
@@ -495,8 +494,8 @@ class TestAdaptiveFit:
             eps=2e-3, tol_i=2e-2, tol_ii=float("inf"), lam=1e-6, max_levels=3,
             alpha_mode="fixed_factor", rho=1.25,
         )
-        reweighted = adaptive_rwls_fit(space, cloud0, config, type_one=k1)
-        frozen = adaptive_rwls_fit(space, cloud0, config, type_one=[], type_two=[])
+        reweighted = adaptive_rwls_fit(space, type_one_cloud(cloud0, k1), config)
+        frozen = adaptive_rwls_fit(space, cloud0, config)
         assert reweighted.records[-1].max <= frozen.records[-1].max * 1.05
 
 

@@ -290,6 +290,37 @@ def _tensor_function_value(space, flat_index, x):
     return float(vals[hit[0]]) if hit.size else 0.0
 
 
+class TestRefineRejectsBadMarks:
+    """A mark whose level or index is not a valid integer is refused, never reinterpreted."""
+
+    @pytest.fixture
+    def two_levels(self):
+        return build_hierarchical(grid_space(2, 4), {0: [(0, 0), (1, 1)]})
+
+    @pytest.mark.parametrize("level", [-1, -2, 2])
+    def test_level_outside_the_space(self, two_levels, level):
+        with pytest.raises(ValueError, match=rf"level={level}, index=\(0, 0\).* unknown level"):
+            two_levels.refine([CellId(level, (0, 0))])
+
+    @pytest.mark.parametrize("cell", [CellId(0.5, (0, 0)), CellId(0, (1.7, 0)),
+                                      CellId(1, (0, "1")), (0, 3)],
+                             ids=["level-0.5", "index-1.7", "index-str", "index-int"])
+    def test_non_integer_level_or_index(self, two_levels, cell):
+        with pytest.raises(ValueError, match="needs an integer level and index"):
+            two_levels.refine([cell])
+
+    def test_numpy_integers_mark_like_python_integers(self, two_levels):
+        got = two_levels.refine([CellId(np.int64(1), (np.int32(2), np.uint8(3)))])
+        want = two_levels.refine([CellId(1, (2, 3))])
+        assert [d.tolist() for d in got.domains] == [d.tolist() for d in want.domains]
+
+    @pytest.mark.parametrize("marks", [{-1: [(0, 0)]}, {0: [(0.5, 1)]}, {0: [5]}],
+                             ids=["level-minus-1", "index-0.5", "index-int"])
+    def test_build_hierarchical_checks_through_refine(self, marks):
+        with pytest.raises(ValueError, match="unknown level|integer level"):
+            build_hierarchical(grid_space(2, 4), marks)
+
+
 class TestEvaluation:
     def test_unrefined_matches_tensor(self):
         base = grid_space(2, 4)

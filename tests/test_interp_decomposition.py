@@ -152,6 +152,19 @@ class TestInterpolateSubset:
         with pytest.raises(ValueError, match="subset size"):
             interpolate_subset(quad_spline_space, seven_cloud, (0, 1))
 
+    @pytest.mark.parametrize("subset, bad", [((-7, 1, 2), "-7"), ((0.9, 1, 2), "0.9"),
+                                             ((0, 1, 7), "7")],
+                             ids=["negative", "float", "past-the-end"])
+    def test_rejects_bad_point_index(self, quad_poly_space, seven_cloud, subset, bad):
+        """Neither wrapped, truncated nor left to numpy's ``IndexError``."""
+        with pytest.raises(ValueError, match=rf"^point index {bad} "):
+            interpolate_subset(quad_poly_space, seven_cloud, subset)
+
+    def test_numpy_indices_label_the_certificate_as_python_ints(self, quad_poly_space,
+                                                                 seven_cloud):
+        cert = interpolate_subset(quad_poly_space, seven_cloud, np.array([1, 3, 5], np.int32))
+        assert cert.subset == (1, 3, 5) and type(cert.subset[0]) is int
+
 
 class TestDecompose:
     def test_polynomial_all_admissible(self, quad_poly_space, seven_cloud):
@@ -543,6 +556,12 @@ class TestWeightLimit:
         with pytest.raises(ValueError, match="exceeds"):
             weight_limit_solution(quad_poly_space, seven_cloud, [0, 1, 2, 3], 10.0)
 
+    @pytest.mark.parametrize("subset, bad", [([0.5], "0.5"), ([2, -1], "-1"), ([7], "7")],
+                             ids=["float", "negative", "past-the-end"])
+    def test_rejects_bad_point_index(self, quad_poly_space, seven_cloud, subset, bad):
+        with pytest.raises(ValueError, match=rf"^point index {bad} "):
+            weight_limit_solution(quad_poly_space, seven_cloud, subset, 10.0)
+
 
 class TestIrls:
     def test_p_near_two_is_single_wls(self, quad_poly_space, seven_cloud):
@@ -572,15 +591,10 @@ class TestIrls:
 
     def test_constant_data_returns_constant(self, quad_poly_space, seven_sites):
         cloud = WeightedPointCloud(seven_sites, np.full(7, 1.25))
-        fn, trace = irls_solve(quad_poly_space, cloud, 1.5, 5, delta=1e-8)
+        fn, trace = irls_solve(quad_poly_space, cloud, 1.5, 5)
         for x in np.linspace(-5, 5, 9):
             assert fn.evaluate([x])[0] == pytest.approx(1.25, abs=1e-9)
         assert trace[-1] < 1e-20
-
-    def test_half_exponent_mode_runs(self, quad_poly_space, seven_cloud):
-        fn, trace = irls_solve(quad_poly_space, seven_cloud, 1.5, 10, exponent_mode="half")
-        assert len(trace) == 10
-        assert np.all(np.isfinite(fn.coefficients))
 
     def test_rejects_p_outside_range(self, quad_poly_space, seven_cloud):
         for p in (0.5, 1.0, 2.0, 2.5):
