@@ -129,13 +129,16 @@ def update_weights(errors, weights, type_one, type_two, mode: str = FitConfig.al
     ``1 / max(delta, e)``). In IRLS mode type I markers keep the
     error-driven growth, since the IRLS rule only describes down-weighting.
     Raises :class:`NumericError` when an updated weight overflows to
-    infinity or underflows to zero, and ``ValueError`` for a marker index
-    that is not an integer in ``0..len(weights)-1``.
+    infinity or underflows to zero, and ``ValueError`` when ``errors`` and
+    ``weights`` differ in length or a marker index is not an integer in
+    ``0..len(weights)-1``.
     """
     if mode not in _ALPHA_MODES:
         raise ValueError(f"unknown weight update mode {mode!r}")
     e = np.asarray(errors, dtype=float)
     w = np.asarray(weights, dtype=float).copy()
+    if e.shape != w.shape:
+        raise ValueError(f"errors and weights differ in length: {e.size} and {w.size}")
     one = _point_indices(type_one, w.size)
     two = _point_indices(type_two, w.size)
     with np.errstate(over="ignore"):

@@ -412,6 +412,20 @@ def _as_sites(sites, ndim: int) -> np.ndarray:
     return s
 
 
+def _integers(values, what: str) -> np.ndarray:
+    """``values`` as an ``intp`` array; an entry that ``operator.index`` rejects
+    (a float among them) raises ``ValueError`` naming it as a ``what``, where
+    numpy would truncate the float."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu":
+        for i in np.asarray(values, dtype=object).ravel():
+            try:
+                operator.index(i)
+            except TypeError:
+                raise ValueError(f"{what} {i!r} is not an integer") from None
+    return arr.astype(np.intp, copy=False)
+
+
 def _point_indices(indices, m: int) -> np.ndarray:
     """``indices`` as an ``intp`` array of point indices, each an integer in ``0..m-1``.
 
@@ -419,18 +433,11 @@ def _point_indices(indices, m: int) -> np.ndarray:
     them) or lies outside the range raises ``ValueError`` naming it, where
     numpy indexing would truncate the float or wrap the negative index.
     """
-    arr = np.asarray(indices)
-    if arr.dtype.kind not in "iu":
-        for i in np.asarray(indices, dtype=object).ravel():
-            try:
-                operator.index(i)
-            except TypeError:
-                raise ValueError(f"point index {i!r} is not an integer") from None
-        arr = arr.astype(np.intp)
+    arr = _integers(indices, "point index")
     bad = (arr < 0) | (arr >= m)
     if bad.any():
         raise ValueError(f"point index {arr[bad].flat[0]} out of range for {m} points")
-    return arr.astype(np.intp, copy=False)
+    return arr
 
 
 def schoenberg_whitney_admissible(space: SplineSpace, sites) -> bool:
@@ -498,7 +505,7 @@ class WeightedPointCloud:
 
         if markers is None:
             markers = np.zeros(m, dtype=int)
-        markers = np.asarray(markers, dtype=int)
+        markers = _integers(markers, "marker label")
         if markers.shape != (m,):
             raise ValueError("markers must be a length-m vector")
         if not np.all(np.isin(markers, (MARKER_PLAIN, MARKER_TYPE_ONE, MARKER_TYPE_TWO))):

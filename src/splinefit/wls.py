@@ -13,11 +13,12 @@ formed.
 Reweighting loops solve on one ``B`` with ever new weights.
 :func:`weighted_solver` does the work that depends on ``B`` and ``P`` alone
 once (the CSR copies, the orders, the QR's block layout) and returns a
-``solve(weights, f)`` that pays only for what the weights change;
-:func:`solve_wls` and :func:`solve_penalized_wls` are one such solve. When
-only some rows' weights change, :func:`_fold_rows` folds the others into a
-triangle once, and the solver of the triangle stacked on the changing rows
-gives the same coefficients up to rounding.
+``solve(weights, f)`` that pays only for what the weights change; at
+``lam = 0`` it keeps its last sweep and skips the leading blocks whose
+rows did not change. :func:`solve_wls` and :func:`solve_penalized_wls` are
+one such solve. When only some rows' weights change, :func:`_fold_rows`
+folds the others into a triangle once, and the solver of the triangle
+stacked on the changing rows gives the same coefficients up to rounding.
 scipy is imported by the functions that use it, at the first solve or
 energy assembly: importing, reading and evaluating a model need numpy alone.
 """
@@ -148,7 +149,7 @@ def _band_plan(B) -> _BandPlan:
     return _BandPlan((m, n), pos, rows, A.data, counts, kd, tuple(blocks))
 
 
-def _band_factor(plan: _BandPlan, w, f2) -> tuple[np.ndarray, np.ndarray]:
+def _band_factor(plan: _BandPlan, w, f2, last=None) -> tuple[np.ndarray, np.ndarray]:
     """The banded QR sweep: triangle ``R`` and values ``G`` of ``sqrt(W) B c = sqrt(W) f``.
 
     ``R^T R = B^T W B`` and ``R^T G = B^T W f``, columns in ``plan.pos``
@@ -158,18 +159,37 @@ def _band_factor(plan: _BandPlan, w, f2) -> tuple[np.ndarray, np.ndarray]:
     block at a time; the rows each block finishes go straight into the band
     and the rest of the window is carried to the next block. Neither rank
     nor the number of rows is judged.
+
+    ``last`` is the dict a solver keeps of its last completed sweep (empty
+    at first): the scaled rows ``sqrt(w)`` and ``sqrt(w) f`` in sweep
+    order, ``ab``, ``G`` and one checkpoint, the window carried into the
+    first block whose rows changed. The sweep resumes at the checkpoint
+    when that is at or before the first block whose rows differ bitwise
+    from the stored ones (a signed zero differs), else at block 0.
     """
     from scipy.linalg.lapack import dtpqrt
-    n, kd = plan.shape[1], plan.kd
+    n, kd, blocks = plan.shape[1], plan.kd, plan.blocks
     sqrt_w = np.sqrt(w[plan.rows])
     vals = plan.data * np.repeat(sqrt_w, plan.counts)
-    rhs = f2[plan.rows] * sqrt_w[:, None]
+    scaled = np.column_stack([sqrt_w, f2[plan.rows] * sqrt_w[:, None]])
+    rhs = scaled[:, 1:]
 
     k = rhs.shape[1]
-    ab = np.zeros((kd + 1) * n + 1)
-    G = np.zeros((n, k))
-    carried = np.zeros((0, k))
-    for j0, hi, r0, r1, p0, p1, scatter, band in plan.blocks:
+    last = {} if last is None else last
+    restart = (0, np.zeros((0, k)))
+    first, mark = 0, restart
+    if last and last["scaled"].shape == scaled.shape:
+        changed = (scaled.view(np.uint64) != last["scaled"].view(np.uint64)).any(axis=1)
+        row = changed.argmax() if changed.any() else scaled.shape[0]
+        first, mark = sum(r1 <= row for _, _, _, r1, *_ in blocks), last["mark"]
+    start, carried = mark if mark[0] <= first else restart
+    ab, G = (last["ab"], last["G"]) if start else (np.zeros((kd + 1) * n + 1), np.zeros((n, k)))
+    last.clear()
+    for i, (j0, hi, r0, r1, p0, p1, scatter, band) in enumerate(blocks[start:], start):
+        # A checkpoint at block 0 could only restart the sweep, so when
+        # block 0 changed the last block takes it.
+        if i == (first or len(blocks) - 1):
+            mark = (i, carried)
         width, done = hi - j0, band.shape[0]
         top = np.zeros((width + k, width + k), order="F")
         c = carried.shape[0]
@@ -183,22 +203,23 @@ def _band_factor(plan: _BandPlan, w, f2) -> tuple[np.ndarray, np.ndarray]:
         ab[band] = top[:done, :width]
         G[j0:j0 + done] = top[:done, width:]
         carried = top[done:width, done:]
+    last.update(scaled=scaled, ab=ab, G=G, mark=mark)
     return ab[:-1].reshape(n, kd + 1).T, G
 
 
-def _band_sweep(plan: _BandPlan, weights, f) -> np.ndarray:
+def _band_sweep(plan: _BandPlan, last, weights, f) -> np.ndarray:
     """Coefficients of the weighted problem whose structure ``plan`` holds."""
     from scipy.linalg.lapack import dtbtrs
     m, n = plan.shape
     w, f2, squeeze = _weighted_system(m, weights, f)
-    ab, G = _band_factor(plan, w, f2)
+    ab, G = _band_factor(plan, w, f2, last)
     diag = np.abs(ab[-1])
     if not np.all(np.isfinite(diag)):
         raise NumericError("triangular factor is not finite (the weighted system overflows)")
     rank = np.count_nonzero(diag > RANK_RTOL * diag.max())
     if rank < n:
         raise RankDeficiencyError(f"collocation matrix has numerical rank {rank} < {n}")
-    c = dtbtrs(ab, G, overwrite_b=1)[0]
+    c = dtbtrs(ab, G)[0]
     return _finite(c[plan.pos], squeeze)
 
 
@@ -258,6 +279,10 @@ def weighted_solver(B, P=None, lam: float = 0.0):
     ``B`` raises :class:`RankDeficiencyError` here. Each solve then
     validates its input, scales the rows by ``sqrt(w)`` and runs the sweep,
     the rank test on the band's diagonal and the banded triangular solve.
+    ``solve`` keeps the scaled rows, band, values and one carried window of
+    its last completed sweep, and starts the next at that checkpoint when
+    no row before it changed bitwise, else at block 0 (:func:`_band_factor`),
+    so one ``solve`` must not be called from two threads at once.
 
     At ``lam > 0`` this builds the CSR copies of ``B``, ``B^T`` and ``lam P``
     (``P`` dense or sparse). Each solve forms ``A = 0.5 B^T W B + lam P`` in
@@ -278,7 +303,7 @@ def weighted_solver(B, P=None, lam: float = 0.0):
             raise RankDeficiencyError(
                 f"underdetermined system: {n} unknowns, {plan.rows.size} nonzero rows"
             )
-        return functools.partial(_band_sweep, plan)
+        return functools.partial(_band_sweep, plan, {})
     import scipy.linalg
     import scipy.sparse
     from scipy.sparse.csgraph import reverse_cuthill_mckee

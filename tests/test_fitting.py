@@ -115,6 +115,11 @@ class TestUpdateWeights:
         with pytest.raises(ValueError, match=rf"^point index {bad} "):
             update_weights([0.1] * 4, [1.0] * 4, one, two)
 
+    @pytest.mark.parametrize("n_errors", [3, 5])
+    def test_rejects_errors_and_weights_of_different_lengths(self, n_errors):
+        with pytest.raises(ValueError, match=rf"differ in length: {n_errors} and 4$"):
+            update_weights([0.1] * n_errors, [1.0] * 4, [3], [])
+
     def test_unmarked_untouched(self):
         w = update_weights([0.5, 0.5, 0.5], [1.0, 1.0, 1.0], [0], [2], mode="error_driven")
         assert w[1] == 1.0

@@ -1,5 +1,7 @@
 """Knot vectors, basis evaluation, collocation, parameterization."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -271,6 +273,13 @@ class TestWeightedPointCloud:
     def test_rejects_unknown_marker(self):
         with pytest.raises(ValueError, match="markers"):
             WeightedPointCloud([0.0, 1.0], [1.0, 2.0], markers=[0, 7])
+
+    @pytest.mark.parametrize("labels, bad", [([1.7, 0.2, 2.9], "1.7"), ([1.0, 0, 2], "1.0"),
+                                             (["1", "0", "2"], "'1'")])
+    def test_rejects_non_integer_marker_label(self, labels, bad):
+        """Neither truncated (1.7 is not type I) nor parsed from a string."""
+        with pytest.raises(ValueError, match=rf"^marker label {re.escape(bad)} is not an integer"):
+            WeightedPointCloud([0.0, 0.5, 1.0], [1.0, 2.0, 3.0], markers=labels)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_sites_and_values(self, bad):

@@ -1,5 +1,6 @@
 """Weighted and penalized least squares, thin-plate energy, metrics."""
 
+import functools
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.interpolate
+import scipy.linalg.lapack
 import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -660,6 +662,102 @@ class TestWeightedSolver:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "raised 2" in proc.stdout
+
+
+def long_curve_problem():
+    """A cubic with 44 functions on 300 sorted sites: three blocks of the sweep."""
+    rng = np.random.default_rng(47)
+    kv = make_open_knot_vector((0.0, 1.0), 3, uniform_interior((0.0, 1.0), 40))
+    sites = np.sort(rng.uniform(0.0, 1.0, 300))
+    return SplineSpace(kv).basis_matrix(sites), rng.uniform(0.5, 2.0, 300), np.sin(7 * sites)
+
+
+RESUME_CASES = {
+    "curve": long_curve_problem,
+    "tensor": tensor_problem,
+    "hierarchical": lambda: hierarchical_problem()[1:],
+}
+
+
+def outcome(solve, w, f):
+    """The coefficients' shape and bytes, or the type and message of what ``solve`` raised."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = solve(w, f)
+    except (ValueError, NumericError) as exc:
+        return type(exc), str(exc)
+    return c.shape, c.tobytes()
+
+
+class TestResumedSweep:
+    """A reused ``solve`` resumes its sweep at the first block whose rows changed;
+    whatever it skips, it must return what a fresh solve returns."""
+
+    @settings(max_examples=40)
+    @given(st.data())
+    def test_every_solve_matches_a_fresh_one_bit_for_bit(self, data):
+        case = data.draw(st.sampled_from(sorted(RESUME_CASES)), label="case")
+        B, w, f = RESUME_CASES[case]()
+        plan = splinefit.wls._band_plan(B)
+        blocks = [plan.rows[r0:r1] for _, _, r0, r1, *_ in plan.blocks]
+        assert len(blocks) > 1
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        F = np.column_stack([f, np.cos(f)])
+        solve = weighted_solver(B)
+        for _ in range(data.draw(st.integers(1, 6), label="solves")):
+            where = data.draw(st.sampled_from(["none", "all", "first", "last", "subset"]))
+            rows = {"none": [], "all": np.arange(w.size), "first": blocks[0],
+                    "last": blocks[-1], "subset": np.flatnonzero(rng.random(w.size) < 0.1)}[where]
+            w = w.copy()
+            w[rows] *= rng.uniform(0.5, 2.0, len(rows))
+            values = data.draw(st.sampled_from(["same", "+0", "-0"]), label="values")
+            if values != "same":
+                F = F.copy()
+                F[rows] = 0.0 if values == "+0" else -0.0
+            ws, fs = w, data.draw(st.sampled_from([F[:, 0], F]), label="columns")
+            # Calls that raise: before the sweep, after it on the rank, after it on overflow.
+            fail = data.draw(st.sampled_from([None, "nan-weight", "tiny-weights", "overflow"]))
+            if fail == "nan-weight":
+                ws = w.copy()
+                ws[7] = np.nan
+            elif fail == "tiny-weights":
+                ws = w.copy()
+                ws[rows] *= 1e-250
+            elif fail == "overflow":
+                ws, fs = w.copy(), fs.copy()
+                ws[rows], fs[rows] = 4.0, 1e308
+            assert outcome(solve, ws, fs) == outcome(functools.partial(solve_wls, B), ws, fs)
+
+    def test_solve_after_the_first_sweeps_only_the_block_of_the_marked_rows(self, monkeypatch):
+        """The folded system of a fit whose marked rows all lie in the last block."""
+        B, w, f = long_curve_problem()
+        vary = np.arange(290, 300)
+        R, g = splinefit.wls._fold_rows(B[:290], w[:290], f[:290, None])
+        stacked = scipy.sparse.vstack([R, B[vary]], format="csr")
+        assert len(splinefit.wls._band_plan(stacked).blocks) == 3
+        ones = np.ones(R.shape[0])
+        scales = (1.0, 1.25, 1.5, 1.5, 1.75, 1.75, 1.75)
+        weights = [np.concatenate([ones, w[vary] * s]) for s in scales]
+        for wt in weights[3:]:
+            wt[0] = 2.0  # a row of block 0: the fourth sweep restarts
+        f_stacked = np.concatenate([g[:, 0], f[vary]])
+        f_stacked[0] = 0.0
+        flipped = f_stacked.copy()
+        flipped[0] = -0.0  # a signed zero in row 0 alone: the sixth sweep restarts
+        values = [f_stacked] * 5 + [flipped] * 2
+
+        real, calls = scipy.linalg.lapack.dtpqrt, []
+        monkeypatch.setattr(scipy.linalg.lapack, "dtpqrt",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        solve, per_solve, results = weighted_solver(stacked), [], []
+        for wt, fv in zip(weights, values):
+            before = len(calls)
+            results.append(solve(wt, fv))
+            per_solve.append(len(calls) - before)
+        monkeypatch.undo()
+        assert per_solve == [3, 1, 1, 3, 1, 3, 1]
+        for wt, fv, c in zip(weights, values, results):
+            assert c.tobytes() == solve_wls(stacked, wt, fv).tobytes()
 
 
 class TestMetrics:
