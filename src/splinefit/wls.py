@@ -184,7 +184,7 @@ def _band_factor(plan: _BandPlan, w, f2, last=None) -> tuple[np.ndarray, np.ndar
         first, mark = sum(r1 <= row for _, _, _, r1, *_ in blocks), last["mark"]
     start, carried = mark if mark[0] <= first else restart
     ab, G = (last["ab"], last["G"]) if start else (np.zeros((kd + 1) * n + 1), np.zeros((n, k)))
-    last.clear()
+    last.clear()  # until the sweep completes, so one cut short leaves no stale state
     for i, (j0, hi, r0, r1, p0, p1, scatter, band) in enumerate(blocks[start:], start):
         # A checkpoint at block 0 could only restart the sweep, so when
         # block 0 changed the last block takes it.
