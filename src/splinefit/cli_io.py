@@ -121,26 +121,17 @@ def _parse_header(fields, path, lineno):
     return len(xs), len(fs), has_w, has_marker
 
 
-# Every byte of a data row of plain decimal numbers is one of these.
-_PLAIN_BYTES = b"0123456789+-.eE ,\n"
-
-# The bulk pass converts this many data rows at a time. Converting a whole
-# file at once keeps one str per field alive together (about 1.5 MB for a
-# 5000-row surface cloud), which raised the peak memory of a whole
-# surface-adaptive fit by about 1%; chunks of 512 rows read as fast.
-_BULK_ROWS = 512
-
-
 def read_point_cloud(path) -> WeightedPointCloud:
     """Parse a point-cloud CSV; malformed rows raise with their line number.
 
-    The data rows are converted by numpy, ``_BULK_ROWS`` at a time. A file
-    with anything the bulk pass does not vouch for (a quote, a comment or
-    whitespace-only line among the data, a character outside plain decimal
-    numbers, a wrong field count, a non-finite number, a non-positive
-    weight, a marker other than ``0``, ``1`` or ``2``) goes through the
-    line-by-line reader instead, which gives the same cloud or names the
-    offending ``path:line``. A file that is not UTF-8 is a format error.
+    numpy's ``loadtxt`` converts the data rows in one bulk pass. A file
+    with anything that pass does not vouch for (a quote, a comment or
+    whitespace-only line among the data, a field ``loadtxt`` cannot convert,
+    a wrong field count, a non-finite number, a non-positive weight, a
+    marker other than ``0``, ``1`` or ``2``) goes through the line-by-line
+    reader instead, which gives the same cloud or names the offending
+    ``path:line``, as it does for a field longer than the ``csv`` module's
+    field size limit. A file that is not UTF-8 is a format error.
     """
     cloud = _read_bulk(_read_text(path, PointCloudFormatError), path)
     return cloud if cloud is not None else _read_lines(path)
@@ -156,8 +147,8 @@ def _read_text(path, error) -> str:
 
 
 def _read_bulk(text, path):
-    """The cloud in ``text`` (universal newlines) if every data row is plain, else None."""
-    if '"' in text or "\0" in text:
+    """The cloud in ``text`` (universal newlines) if ``loadtxt`` reads every data row, else None."""
+    if '"' in text:
         return None
     lines = text.split("\n")
     if max(map(len, lines)) > csv.field_size_limit():
@@ -172,29 +163,24 @@ def _read_bulk(text, path):
     except PointCloudFormatError:
         return None
     width = n + d + has_w + has_marker
-    rows = [line for line in lines[h + 1 :] if line]
-    if not rows or set(map(str.count, rows, itertools.repeat(","))) != {width - 1}:
+    rows = lines[h + 1 :]
+    if not any(rows):  # loadtxt warns about input with no data
         return None
-    table = np.empty((len(rows), width))
-    for i in range(0, len(rows), _BULK_ROWS):
-        body = ",".join(rows[i : i + _BULK_ROWS])
-        try:
-            if body.encode("ascii").translate(None, _PLAIN_BYTES):
-                return None
-            fields = body.split(",")
-            table[i : i + _BULK_ROWS] = np.array(fields, dtype=float).reshape(-1, width)
-        except (UnicodeEncodeError, ValueError):
-            return None
-        if has_marker and not set(map(str.strip, fields[width - 1 :: width])) <= {"0", "1", "2"}:
-            return None
+    # A marker is exactly 0, 1 or 2 once stripped, as the line reader takes it.
+    marker = {width - 1: lambda field: ("0", "1", "2").index(field.strip())} if has_marker else None
+    try:
+        table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2, converters=marker)
+    except ValueError:
+        return None
     numbers = table[:, : n + d + has_w]
-    if not np.all(np.isfinite(numbers)) or (has_w and not np.all(numbers[:, -1] > 0)):
+    if (table.shape[1] != width or not np.all(np.isfinite(numbers))
+            or (has_w and not np.all(numbers[:, -1] > 0))):
         return None
     return _cloud(
         path,
-        numbers[:, :n].copy(),
-        numbers[:, n : n + d].copy(),
-        numbers[:, -1].copy() if has_w else None,
+        numbers[:, :n],
+        numbers[:, n : n + d],
+        numbers[:, -1] if has_w else None,
         table[:, -1].astype(int) if has_marker else None,
     )
 
@@ -206,6 +192,14 @@ def _cloud(path, sites, values, weights, markers) -> WeightedPointCloud:
         raise PointCloudFormatError(f"{path}: {exc}") from None
 
 
+def _csv_rows(reader, path):
+    """``reader``'s rows; a ``csv.Error`` (an over-long field) names its ``path:line``."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise PointCloudFormatError(f"{path}:{reader.line_num}: {exc}") from None
+
+
 def _read_lines(path) -> WeightedPointCloud:
     """The line-by-line reader: the one path that names a malformed ``path:line``."""
     sites, values, weights, markers = [], [], [], []
@@ -214,7 +208,7 @@ def _read_lines(path) -> WeightedPointCloud:
     has_w = has_marker = False
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
-        for row in reader:
+        for row in _csv_rows(reader, path):
             lineno = reader.line_num  # a quoted field may span lines: name the last
             if not row or (row[0].lstrip().startswith("#")):
                 continue
@@ -450,11 +444,22 @@ def _build_curve_space(args, sites) -> SplineSpace:
     return SplineSpace(kv)
 
 
-def _degree_list(raw: str) -> list[int]:
+def _non_negative_ints(raw: str, most: int) -> list[int]:
+    """An option value of one to ``most`` comma-separated non-negative integers."""
     try:
-        return [int(p) for p in raw.split(",")]
+        values = [int(p) for p in raw.split(",")]
     except ValueError:
-        raise _UsageError(f"bad degree list {raw!r}") from None
+        values = []
+    if not 0 < len(values) <= most or min(values) < 0:
+        many = "one" if most == 1 else f"one to {most} comma-separated"
+        raise argparse.ArgumentTypeError(
+            f"must be {many} non-negative integer{'s' * (most > 1)}, got {raw!r}")
+    return values
+
+
+def _count(raw: str) -> int:
+    """A non-negative integer option value such as ``--interior-knots``."""
+    return _non_negative_ints(raw, 1)[0]
 
 
 def _dense_lstsq(space, cloud: WeightedPointCloud) -> np.ndarray:
@@ -595,18 +600,20 @@ def _build_parser() -> _Parser:
     verify = sub.add_parser("verify", help="check the interpolant decomposition")
     verify.add_argument("--cloud", required=True)
     verify.add_argument("--basis", choices=("poly", "spline"), default="poly")
-    verify.add_argument("--degree", type=_degree_list, default=[2])
+    verify.add_argument("--degree", type=functools.partial(_non_negative_ints, most=1),
+                        default=[2])
     verify.add_argument("--knots", default="uniform",
                         help="'uniform', 'averaging' or an explicit comma list")
-    verify.add_argument("--interior-knots", type=int, default=None)
+    verify.add_argument("--interior-knots", type=_count, default=None)
     verify.set_defaults(func=cmd_verify)
 
     fit = sub.add_parser("fit", help="reweighted least-squares curve fit")
     fit.add_argument("--cloud", required=True)
-    fit.add_argument("--degree", type=_degree_list, default=[3])
+    fit.add_argument("--degree", type=functools.partial(_non_negative_ints, most=1),
+                     default=[3])
     fit.add_argument("--knots", default="uniform",
                      help="'uniform', 'averaging' or an explicit comma list")
-    fit.add_argument("--interior-knots", type=int, default=None)
+    fit.add_argument("--interior-knots", type=_count, default=None)
     fit.add_argument("--param", choices=("uniform", "chord", "given"), default="given")
     fit.add_argument("--tol-i", type=float, default=1e-3)
     fit.add_argument("--tol-ii", type=float, default=float("inf"))
@@ -619,7 +626,8 @@ def _build_parser() -> _Parser:
 
     fita = sub.add_parser("fit-adaptive", help="adaptive hierarchical surface fit")
     fita.add_argument("--cloud", required=True)
-    fita.add_argument("--degree", type=_degree_list, default=[3])
+    fita.add_argument("--degree", type=functools.partial(_non_negative_ints, most=2),
+                      default=[3])
     fita.add_argument("--mesh", required=True, help="base mesh cells, e.g. 15x15")
     fita.add_argument("--eps", type=float, required=True)
     fita.add_argument("--tol-i", type=float, default=None)

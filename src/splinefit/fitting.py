@@ -128,13 +128,14 @@ def update_weights(errors, weights, type_one, type_two, mode: str = FitConfig.al
     shrink (``1 / (1 + e)``, ``1 / rho`` or the IRLS rule
     ``1 / max(delta, e)``). In IRLS mode type I markers keep the
     error-driven growth, since the IRLS rule only describes down-weighting.
-    Raises :class:`NumericError` when an updated weight overflows to
-    infinity or underflows to zero, and ``ValueError`` when ``errors`` and
+    Raises ``ValueError`` for a rule :class:`FitConfig` refuses (an unknown
+    mode, a fixed factor ``rho`` that is not finite and above one, a
+    ``delta`` that is not finite and positive), when ``errors`` and
     ``weights`` differ in length or a marker index is not an integer in
-    ``0..len(weights)-1``.
+    ``0..len(weights)-1``; raises :class:`NumericError` when an updated
+    weight overflows to infinity or underflows to zero.
     """
-    if mode not in _ALPHA_MODES:
-        raise ValueError(f"unknown weight update mode {mode!r}")
+    FitConfig(alpha_mode=mode, rho=rho, delta=delta)
     e = np.asarray(errors, dtype=float)
     w = np.asarray(weights, dtype=float).copy()
     if e.shape != w.shape:

@@ -20,7 +20,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .spline_core import KnotVector, SplineSpace, _as_sites, _RowSpace
+from .spline_core import KnotVector, SplineSpace, _as_sites, _frozen, _RowSpace
 
 __all__ = [
     "CellId",
@@ -93,7 +93,7 @@ class HierarchicalSpace(_RowSpace):
 
     def __init__(self, levels, domains):
         self.levels = tuple(levels)
-        self.domains = tuple(np.asarray(d, dtype=bool) for d in domains)
+        self.domains = tuple(_frozen(d, bool) for d in domains)
         if len(self.levels) != len(self.domains):
             raise ValueError("one subdomain mask per level required")
         base = self.levels[0]

@@ -43,6 +43,14 @@ MARKER_TYPE_TWO = 2
 _DOMAIN_RTOL = 1e-10
 
 
+def _frozen(values, dtype=float) -> np.ndarray:
+    """A read-only copy of ``values`` as ``dtype``: an instance keeps it, and the
+    caller's own array stays writeable and cannot change the instance."""
+    arr = np.array(values, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
+
+
 class KnotVector:
     """Non-decreasing knot sequence with a fixed polynomial degree.
 
@@ -62,7 +70,7 @@ class KnotVector:
     """
 
     def __init__(self, knots, degree: int):
-        t = np.asarray(knots, dtype=float)
+        t = _frozen(knots)
         if t.ndim != 1:
             raise ValueError("knots must be a one-dimensional sequence")
         if not np.all(np.isfinite(t)):
@@ -81,7 +89,6 @@ class KnotVector:
         self.degree = degree
         self.order = k
         self.knots = t
-        self.knots.flags.writeable = False
         self.dim = t.size - k
         if self.dim < 1:
             raise ValueError("knot vector defines an empty space")
@@ -479,12 +486,12 @@ class WeightedPointCloud:
     """
 
     def __init__(self, sites, values, weights=None, markers=None):
-        sites = np.asarray(sites, dtype=float)
+        sites = _frozen(sites)
         if sites.ndim == 1:
             sites = sites[:, None]
         if sites.ndim != 2 or sites.shape[0] < 1:
             raise ValueError("sites must be a nonempty (m, N) array")
-        values = np.asarray(values, dtype=float)
+        values = _frozen(values)
         if values.ndim == 1:
             values = values[:, None]
         if values.shape[0] != sites.shape[0]:
@@ -497,7 +504,7 @@ class WeightedPointCloud:
         m = sites.shape[0]
         if weights is None:
             weights = np.ones(m)
-        weights = np.asarray(weights, dtype=float)
+        weights = _frozen(weights)
         if weights.shape != (m,):
             raise ValueError("weights must be a length-m vector")
         if np.any(weights <= 0) or not np.all(np.isfinite(weights)):
@@ -505,7 +512,7 @@ class WeightedPointCloud:
 
         if markers is None:
             markers = np.zeros(m, dtype=int)
-        markers = _integers(markers, "marker label")
+        markers = _frozen(_integers(markers, "marker label"), np.intp)
         if markers.shape != (m,):
             raise ValueError("markers must be a length-m vector")
         if not np.all(np.isin(markers, (MARKER_PLAIN, MARKER_TYPE_ONE, MARKER_TYPE_TWO))):
@@ -515,8 +522,6 @@ class WeightedPointCloud:
         self.values = values
         self.weights = weights
         self.markers = markers
-        for arr in (self.sites, self.values, self.weights, self.markers):
-            arr.flags.writeable = False
 
     @property
     def m(self) -> int:
@@ -555,7 +560,7 @@ class SplineFunction:
     """Element of a spline space: coefficients with ``space.dim`` rows."""
 
     def __init__(self, space, coefficients):
-        c = np.asarray(coefficients, dtype=float)
+        c = _frozen(coefficients)
         if c.ndim == 1:
             c = c[:, None]
         if c.ndim != 2 or c.shape[0] != space.dim:
@@ -564,7 +569,6 @@ class SplineFunction:
             )
         self.space = space
         self.coefficients = c
-        self.coefficients.flags.writeable = False
 
     @property
     def dim_values(self) -> int:

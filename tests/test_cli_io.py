@@ -11,7 +11,6 @@ import re
 import subprocess
 import sys
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -135,6 +134,14 @@ class TestPointCloudFormat:
         assert main(["fit", "--cloud", str(path), "--interior-knots", "1"]) == 3
         assert "bad.csv:1: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tail", ["", "\n0.7,2.0\n"], ids=["last-line", "inner-line"])
+    def test_over_long_field_reports_line(self, tmp_path, capsys, tail):
+        """A field past ``csv.field_size_limit()`` exits 3 naming its line, not a traceback."""
+        path = tmp_path / "long.csv"
+        path.write_text("x1,f1\n0.0,1.0\n0.5," + "1" * (csv.field_size_limit() + 1) + tail)
+        assert main(["fit", "--cloud", str(path), "--interior-knots", "1"]) == 3
+        assert f"error: {path}:3: field larger than field limit" in capsys.readouterr().err
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("# nothing here\n")
@@ -168,7 +175,9 @@ def _outcome(read, path):
 _ODD_MARKERS = ["3", "-1", "1.0", "01", "+1", " 2 ", "1e0", "", "x"]
 _ODD_FIELDS = _ODD_MARKERS + [" ", "nan", "inf", "-inf", "1e999", "0", "0.0", "-0", " 1",
                               "1 ", "1e", ".", "1.2.3", "1_0", "\u0661", '"1"', '"', "1#x",
-                              "#", "\t2", "1\x00", "1e-400"]
+                              "#", "\t2", "1\x00", "1e-400",
+                              # Spellings where numpy's parser and Python's float could differ.
+                              "\x0b1", "1\x0c", "\xa01", "Infinity", "1.", ".5"]
 _HEADERS = ["x1,f1", "x1,f1,w", "x1,f1,marker", "x1,x2,f1,f2,w,marker", " x1 , f1 ,w",
             "x1,f1,w,marker", "x1,x2,x3,f1", "x1,f1,f2,marker", "x2,f1", "x1,f1,q", "f1,x1",
             "x1,f1,x2,f2"]
@@ -205,23 +214,19 @@ def _csv_texts(draw):
 
 class TestBulkPointCloudReader:
     @settings(max_examples=150)
-    @given(text=_csv_texts(), chunk=st.integers(1, 7))
-    def test_bulk_reader_agrees_with_line_reader(self, text, chunk, tmp_path_factory):
-        """The bulk pass vouches only for files the line reader reads the same,
-        wherever its chunks of rows begin."""
+    @given(text=_csv_texts())
+    def test_bulk_reader_agrees_with_line_reader(self, text, tmp_path_factory):
+        """The bulk pass vouches only for files the line reader reads the same."""
         path = tmp_path_factory.mktemp("fuzz") / "cloud.csv"
         path.write_bytes(text.encode("utf-8"))
         expected = _outcome(_read_lines, path)
-        with mock.patch.object(splinefit.cli_io, "_BULK_ROWS", chunk):
-            assert _outcome(read_point_cloud, path) == expected
-            with open(path, encoding="utf-8") as handle:
-                bulk = _read_bulk(handle.read(), path)
+        assert _outcome(read_point_cloud, path) == expected
+        with open(path, encoding="utf-8") as handle:
+            bulk = _read_bulk(handle.read(), path)
         if bulk is not None:
             assert _outcome(lambda _: bulk, path) == expected
 
-    @pytest.mark.parametrize("chunk", [1, 2], ids=["second-chunk", "one-chunk"])
-    def test_every_odd_field_in_every_column(self, tmp_path, chunk, monkeypatch):
-        monkeypatch.setattr(splinefit.cli_io, "_BULK_ROWS", chunk)
+    def test_every_odd_field_in_every_column(self, tmp_path):
         path = tmp_path / "cloud.csv"
         for column in range(4):
             for field in _ODD_FIELDS:
@@ -1301,6 +1306,24 @@ class TestExitCodes:
                                                     np.ones(36)))
         assert main(["fit-adaptive", "--cloud", str(cloud), "--mesh", "0x8", "--eps", "0.1"]) == 1
         assert "--mesh must be NxN with every N >= 1, got '0x8'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, option, value",
+        [(["fit", "--interior-knots", "1"], "--degree", "3,7"),
+         (["verify"], "--degree", "2,5"),
+         (["fit-adaptive", "--mesh", "2x2", "--eps", "0.1"], "--degree", "3,2,5"),
+         (["fit"], "--interior-knots", "-1"),
+         (["verify", "--basis", "spline"], "--interior-knots", "-1")],
+        ids=["fit-two-degrees", "verify-two-degrees", "fit-adaptive-three-degrees",
+             "fit-negative-knot-count", "verify-negative-knot-count"],
+    )
+    def test_degrees_or_knot_count_it_would_misuse_is_config_error(
+        self, seven_csv, capsys, command, option, value
+    ):
+        """Extra degrees were dropped unread; a negative count failed naming neither."""
+        assert main([command[0], "--cloud", seven_csv, *command[1:], option, value]) == 1
+        err = capsys.readouterr().err
+        assert f"argument {option}: " in err and f"got {value!r}" in err
 
     def test_bad_flag_value_is_config_error(self, seven_csv):
         assert main(["fit", "--cloud", seven_csv, "--param", "bogus"]) == 1

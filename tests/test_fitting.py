@@ -1,6 +1,7 @@
 """Reweighted fitting loops, weight updates, benchmark functions."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -119,6 +120,22 @@ class TestUpdateWeights:
     def test_rejects_errors_and_weights_of_different_lengths(self, n_errors):
         with pytest.raises(ValueError, match=rf"differ in length: {n_errors} and 4$"):
             update_weights([0.1] * n_errors, [1.0] * 4, [3], [])
+
+    @pytest.mark.parametrize(
+        "mode, rho, delta, message",
+        [("fixed_factor", 0.5, 1e-8, "rho must be finite and exceed one, got 0.5"),
+         ("fixed_factor", -2.0, 1e-8, "rho must be finite and exceed one, got -2.0"),
+         ("fixed_factor", np.nan, 1e-8, "rho must be finite and exceed one, got nan"),
+         ("irls", 1.25, 0.0, "delta must be finite and strictly positive, got 0.0"),
+         ("irls", 1.25, -1.0, "delta must be finite and strictly positive, got -1.0"),
+         ("halve", 1.25, 1e-8, "alpha_mode must be one of")],
+        ids=["rho-below-one", "rho-negative", "rho-nan", "delta-zero", "delta-negative",
+             "unknown-mode"],
+    )
+    def test_rejects_a_rule_fit_config_refuses(self, mode, rho, delta, message):
+        """rho 0.5 once halved type I weights and doubled type II ones without an error."""
+        with pytest.raises(ValueError, match=re.escape(message)):
+            update_weights([0.1] * 3, [1.0] * 3, [0], [2], mode=mode, rho=rho, delta=delta)
 
     def test_unmarked_untouched(self):
         w = update_weights([0.5, 0.5, 0.5], [1.0, 1.0, 1.0], [0], [2], mode="error_driven")

@@ -207,6 +207,19 @@ class TestDilate:
 
 
 class TestBuildHierarchical:
+    def test_masks_are_copied(self):
+        """Writing to the caller's masks after construction changes no space."""
+        base = grid_space(2, 4)
+        fine = dyadic_refine_space(base)
+        coarse_mask, fine_mask = np.ones(base.cells, dtype=bool), np.zeros(fine.cells, dtype=bool)
+        fine_mask[:2, :2] = True
+        h = HierarchicalSpace([base, fine], [coarse_mask, fine_mask])
+        leaves, active = h.leaf_cells(), [a.tolist() for a in h.active]
+        fine_mask[:] = True
+        assert h.subdomain_cells(1).tolist() == [0, 1, 8, 9]
+        assert h.leaf_cells() == leaves and [a.tolist() for a in h.active] == active
+        assert not h.domains[1].flags.writeable
+
     def test_no_marks_is_the_base(self):
         base = grid_space(2, 4)
         h = build_hierarchical(base, {})

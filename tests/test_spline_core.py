@@ -304,6 +304,26 @@ class TestWeightedPointCloud:
         np.testing.assert_array_equal(replaced.weights, [2.0, 3.0])
 
 
+def test_constructors_freeze_copies_not_the_callers_arrays():
+    """Each instance keeps read-only copies: the caller's arrays stay writeable,
+    and writing to them changes no instance."""
+    sites, values, weights = np.array([0.0, 0.5, 1.0]), np.ones((3, 1)), np.ones(3)
+    markers = np.array([0, 1, 2], dtype=np.intp)
+    knots = np.array([0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 1.0])
+    coefficients = np.ones((4, 1))
+    cloud = WeightedPointCloud(sites, values, weights, markers)
+    kv = KnotVector(knots, 2)
+    fn = SplineFunction(SplineSpace(kv), coefficients)
+    kept = [a.copy() for a in (cloud.sites, cloud.values, cloud.weights, cloud.markers,
+                               kv.knots, fn.coefficients)]
+    for arr in (sites, values, weights, markers, knots, coefficients):
+        arr[1] = 2
+    for got, want in zip((cloud.sites, cloud.values, cloud.weights, cloud.markers,
+                          kv.knots, fn.coefficients), kept):
+        np.testing.assert_array_equal(got, want)
+        assert not got.flags.writeable
+
+
 class TestParameterize:
     def test_uniform(self):
         np.testing.assert_allclose(
