@@ -41,7 +41,6 @@ from .interp_decomposition import (
     Decomposition,
     SubsetCertificate,
     decompose,
-    enumerate_subsets,
     interpolate_subset,
     irls_solve,
     weight_limit_solution,
@@ -95,7 +94,6 @@ __all__ = [
     "curve_point_cloud",
     "decompose",
     "dyadic_refine_space",
-    "enumerate_subsets",
     "evaluate_3peaks",
     "evaluate_test_curves",
     "feature_weighted_sites",

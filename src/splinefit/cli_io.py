@@ -439,6 +439,8 @@ def _build_curve_space(args, sites) -> SplineSpace:
             np.sort(sites.ravel()), args.interior_knots + degree + 1, degree
         )
     else:
+        if args.interior_knots is not None:
+            raise _UsageError("--interior-knots does not apply to an explicit --knots list")
         values = [float(v) for v in args.knots.split(",")]
         kv = KnotVector(np.asarray(values), degree)
     return SplineSpace(kv)
@@ -482,6 +484,10 @@ def cmd_verify(args) -> int:
     if cloud.ndim != 1:
         raise _UsageError("verify expects curve data (one x column)")
     if args.basis == "poly":
+        for option, value, default in (("--knots", args.knots, "uniform"),
+                                       ("--interior-knots", args.interior_knots, None)):
+            if value != default:
+                raise _UsageError(f"{option} does not apply to --basis poly, got {value!r}")
         space = SplineSpace(_uniform_kv(cloud.sites, args.degree[0], 1))
     else:
         space = _build_curve_space(args, cloud.sites)
@@ -503,22 +509,27 @@ def cmd_verify(args) -> int:
 
 
 def _fit_config(args) -> FitConfig:
+    """The command's ``FitConfig``; a value it refuses is a usage error naming its option."""
     mode, param = _parse_alpha(args.alpha)
-    kwargs = dict(tol_i=args.tol_i, tol_ii=args.tol_ii, lam=args.lam, alpha_mode=mode)
+    given = [("eps", "--eps", getattr(args, "eps", None)), ("tol_i", "--tol-i", args.tol_i),
+             ("tol_ii", "--tol-ii", args.tol_ii), ("lam", "--lambda", args.lam),
+             ("max_iter", "--max-iter", getattr(args, "max_iter", None)),
+             ("max_levels", "--levels", getattr(args, "levels", None)),
+             ("rho" if mode == "fixed_factor" else "delta", "--alpha", param)]
+    kwargs = {}
+    for field, option, value in given:
+        if value is None:
+            continue
+        try:  # each value on its own, so that an error names its option
+            FitConfig(alpha_mode=mode, **{field: value})
+        except ValueError as exc:
+            shown = args.alpha if option == "--alpha" else value
+            raise _UsageError(f"argument {option} {shown}: {exc}") from None
+        kwargs[field] = value
     if args.tol_i is None:
         # fit-adaptive without --tol-i: ten times the refinement threshold
         kwargs["tol_i"] = 10 * args.eps
-    if mode == "fixed_factor" and param is not None:
-        kwargs["rho"] = param
-    if mode == "irls" and param is not None:
-        kwargs["delta"] = param
-    if hasattr(args, "eps"):
-        kwargs["eps"] = args.eps
-    if hasattr(args, "max_iter"):
-        kwargs["max_iter"] = args.max_iter
-    if hasattr(args, "levels"):
-        kwargs["max_levels"] = args.levels
-    return FitConfig(**kwargs)
+    return FitConfig(alpha_mode=mode, **kwargs)
 
 
 def _finish_fit(args, report: FitReport) -> int:
@@ -586,6 +597,8 @@ def cmd_sample(args) -> int:
         tag = "".join(str(a) for a in alpha)
         header += [f"d{tag}_v{k + 1}" for k in range(d)]
     table = np.hstack([pts, fn.evaluate_many(pts, [(0,) * ndim] + deriv_alphas)])
+    if not np.isfinite(table).all():
+        raise NumericError(f"{args.out}: samples are not finite, not written")
     _write_csv(args.out, header, table.tolist())
     print(f"wrote {pts.shape[0]} samples to {args.out}")
     return 0

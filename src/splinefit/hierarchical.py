@@ -125,9 +125,11 @@ class HierarchicalSpace(_RowSpace):
         self.offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.intp)
         self.dim = int(self.offsets[-1])
         # Per level, the column of each tensor function; ``dim`` if inactive.
-        self._columns = [np.full(space.dim, self.dim, dtype=np.intp) for space in self.levels]
+        self._columns = tuple(np.full(space.dim, self.dim, dtype=np.intp) for space in self.levels)
         for column, act, start in zip(self._columns, self.active, self.offsets):
             column[act] = np.arange(start, start + act.size)
+        for arr in (*self.active, self.offsets, *self._columns):
+            arr.flags.writeable = False
 
     def _active_sets(self):
         # A support is a union of whole level-l cells, so "inside the next
@@ -206,8 +208,6 @@ class HierarchicalSpace(_RowSpace):
                 raise ValueError(
                     f"marked cell {cell!r} needs an integer level and index") from None
             per_level.setdefault(level, []).append(index)
-        if not per_level:
-            return HierarchicalSpace(self.levels, self.domains)
 
         levels = list(self.levels)
         domains = [d.copy() for d in self.domains]
@@ -237,20 +237,32 @@ class HierarchicalSpace(_RowSpace):
     # Evaluation
     # ------------------------------------------------------------------
 
+    def _locate(self, sites):
+        """Per level, coarsest first, ``(rows, local, cells)`` for the sites its subdomain holds.
+
+        ``rows`` indexes them in ``sites`` (``slice(None)``: all), ``local``
+        is ``sites[rows]`` and ``cells`` their per-direction cells on the
+        level. A site's cell is a child of its cell a level up, so each level
+        tests only the sites the last one kept.
+        """
+        rows, local = slice(None), sites
+        for space, own in zip(self.levels, self.domains):
+            cells = tuple(kv.cell_of(x) for kv, x in zip(space.knot_vectors, local.T))
+            inside = own[cells]
+            if not inside.all():
+                rows = np.flatnonzero(inside) if isinstance(rows, slice) else rows[inside]
+                local = local[inside]
+                cells = tuple(c[inside] for c in cells)
+            yield rows, local, cells
+
     def _rows(self, sites, alphas):
         """Per level with active functions, its tensor rows at the sites inside its subdomain.
 
         Indices are mapped to columns. Active supports are unions of the
-        level's subdomain cells, so no other site meets an active function;
-        subdomains nest, so each level tests only the sites the last one kept.
+        level's subdomain cells, so no other site meets an active function.
         """
-        rows, local = slice(None), sites
-        for space, act, column, own in zip(self.levels, self.active, self._columns, self.domains):
-            if not own.all():  # else the subdomain is the whole domain and holds every site
-                inside = own[tuple(kv.cell_of(x) for kv, x in zip(space.knot_vectors, local.T))]
-                if not inside.all():
-                    rows = np.flatnonzero(inside) if isinstance(rows, slice) else rows[inside]
-                    local = local[inside]
+        for (rows, local, _), space, act, column in zip(
+                self._locate(sites), self.levels, self.active, self._columns):
             if act.size:
                 idx, vals = space._tensor_rows(local, alphas)
                 yield rows, column[idx], vals
@@ -320,16 +332,10 @@ def mark_cells(h: HierarchicalSpace, sites, errors, eps: float) -> list[CellId]:
     errors = np.asarray(errors, dtype=float)
     if errors.shape != (sites.shape[0],):
         raise ValueError("errors must align with sites")
-    pending = sites[errors > eps]
     marked = [np.zeros_like(mask) for mask in h.domains]
-    # A site's leaf is its cell on the finest level whose subdomain holds it.
-    for lev in range(h.num_levels - 1, -1, -1):
-        index = tuple(
-            kv.cell_of(x) for kv, x in zip(h.levels[lev].knot_vectors, pending.T)
-        )
-        inside = h.domains[lev][index]
-        marked[lev][tuple(i[inside] for i in index)] = True
-        pending = pending[~inside]
+    # A site's leaf is the one cell holding it that its level does not hand on.
+    for (_, _, cells), handed, mask in zip(h._locate(sites[errors > eps]), h._handed, marked):
+        mask[tuple(c[~handed[cells]] for c in cells)] = True
     return _cell_ids(marked)
 
 

@@ -28,7 +28,6 @@ from .wls import solve_wls, weighted_solver
 __all__ = [
     "SubsetCertificate",
     "Decomposition",
-    "enumerate_subsets",
     "interpolate_subset",
     "decompose",
     "weight_limit_solution",
@@ -64,17 +63,10 @@ class SubsetCertificate:
     coefficients: np.ndarray | None
 
 
-def enumerate_subsets(m: int, n: int):
-    """All size-``n`` subsets of ``{0..m-1}`` in lexicographic order, as tuples.
-
-    Raises :class:`SubsetCapError` when the count ``C(m, n)`` exceeds ``SUBSET_CAP``.
-    """
-    return map(tuple, _subset_array(m, n).tolist())
-
-
 def _subset_array(m: int, n: int) -> np.ndarray:
-    """The subsets of :func:`enumerate_subsets` as a ``(C(m, n), n)`` index array.
+    """All size-``n`` subsets of ``{0..m-1}`` in lexicographic order, as a ``(C(m, n), n)`` array.
 
+    Raises :class:`SubsetCapError` when ``C(m, n)`` exceeds ``SUBSET_CAP``.
     Built column by column: each row is repeated once per admissible next
     index, which runs from one past the row's last index up to ``m - n + j``
     for column ``j``, so the rows stay in lexicographic order.

@@ -266,15 +266,9 @@ class _RowSpace:
     left out has no function of the level in the space.
     """
 
-    def eval_basis(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """Increasing indices and values of the basis functions supported at ``x``.
-
-        Values are non-negative and, for clamped tensor spaces, sum to one.
-        """
-        return self.eval_basis_derivatives(x, None)
-
     def eval_basis_derivatives(self, x, alpha) -> tuple[np.ndarray, np.ndarray]:
-        """Partial derivative ``alpha`` (a per-direction multi-index) of the basis at ``x``."""
+        """Increasing indices and values at ``x`` of the basis functions supported there, or
+        of their partial derivative ``alpha`` (a per-direction multi-index; None: values)."""
         p = np.atleast_1d(np.asarray(x, dtype=float))
         if p.shape != (self.ndim,):
             raise ValueError(f"expected a point in R^{self.ndim}, got shape {p.shape}")
@@ -387,12 +381,6 @@ class SplineSpace(_RowSpace):
                     for v, a in zip(vals, orders)]
         return idx, vals
 
-    def greville_points(self) -> np.ndarray:
-        """Tensor grid of Greville abscissae, one row per basis function."""
-        axes = [kv.greville() for kv in self.knot_vectors]
-        grids = np.meshgrid(*axes, indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=-1)
-
 
 def collocation_matrix(space, sites) -> np.ndarray:
     """Dense collocation matrix ``B[i, j] = basis_j(site_i)`` of a tensor or hierarchical space.
@@ -481,8 +469,8 @@ class WeightedPointCloud:
     """Observation sites, values, strictly positive weights and marker labels.
 
     Markers: 0 = plain, 1 = type I (feature to preserve), 2 = type II (noisy
-    or outlying, not to be reproduced). Immutable; weight updates produce new
-    instances via :meth:`with_weights`.
+    or outlying, not to be reproduced). Immutable: :func:`~splinefit.fitting.update_weights`
+    returns new weight arrays, and a cloud with other weights is a new instance.
     """
 
     def __init__(self, sites, values, weights=None, markers=None):
@@ -545,9 +533,6 @@ class WeightedPointCloud:
         """Indices of type II markers."""
         return np.flatnonzero(self.markers == MARKER_TYPE_TWO)
 
-    def with_weights(self, weights) -> "WeightedPointCloud":
-        return WeightedPointCloud(self.sites, self.values, weights, self.markers)
-
     def __repr__(self):
         return (
             f"WeightedPointCloud(m={self.m}, ndim={self.ndim}, "
@@ -573,9 +558,6 @@ class SplineFunction:
     @property
     def dim_values(self) -> int:
         return self.coefficients.shape[1]
-
-    def __call__(self, x) -> np.ndarray:
-        return self.evaluate(x)
 
     def evaluate(self, x) -> np.ndarray:
         """Value at ``x`` as a length-D vector."""

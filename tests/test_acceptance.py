@@ -64,7 +64,7 @@ def quad_spline():
 def max_relative_gap(space, dec, coefficients, points):
     worst = 0.0
     for x in points:
-        idx, basis = space.eval_basis([x])
+        idx, basis = space.eval_basis_derivatives([x], None)
         ref = (basis @ coefficients[idx])[0]
         got = dec.reconstruct([x])[0]
         worst = max(worst, abs(got - ref) / (1.0 + abs(ref)))
@@ -174,7 +174,7 @@ class TestCriterion4WeightLimits:
             fn1 = weight_limit_solution(poly, cloud, held_one, 1e10)
             free = [i for i in range(7) if i not in held_one]
             for x in np.linspace(-5, 5, 21):
-                idx, basis = poly.eval_basis([x])
+                idx, basis = poly.eval_basis_derivatives([x], None)
                 num, den = 0.0, 0.0
                 for K in itertools.combinations(free, poly.dim - 1):
                     union = sorted(held_one + list(K))

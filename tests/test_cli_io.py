@@ -1,6 +1,7 @@
 """File formats, CLI commands, exit codes."""
 
 import argparse
+import ast
 import contextlib
 import csv
 import dataclasses
@@ -998,6 +999,27 @@ class TestSettingsHaveCallers:
         named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme))
         assert named and named <= options, sorted(named - options)
 
+    # Formulas the README writes as code, not calls: ``C(m, n)``, ``sqrt(W)``, ``prod(order)``.
+    NOTATION = {"C", "sqrt", "prod"}
+
+    def test_every_call_in_the_readme_names_a_package_callable(self):
+        """A `` `name(`` in ``README.md`` is a function, class or method the package defines;
+        ``Class.name`` must be an attribute of that class, exported by the package."""
+        package = Path(splinefit.__file__).resolve().parent
+        trees = [ast.parse(path.read_text(encoding="utf-8")) for path in package.rglob("*.py")]
+        defined = {node.name for tree in trees for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        named = set(re.findall(r"`([A-Za-z_][\w.]*)\(", readme)) - self.NOTATION
+
+        def resolves(name):
+            owner, _, attribute = name.rpartition(".")
+            if owner:
+                return hasattr(getattr(splinefit, owner, None), attribute)
+            return name in defined
+
+        assert named and all(map(resolves, named)), sorted(n for n in named if not resolves(n))
+
 
 def fresh_python(*args):
     """Run a fresh interpreter on ``args`` with this checkout's ``src`` on the path."""
@@ -1083,14 +1105,14 @@ class TestStartup:
         assert proc.stdout.splitlines()[-1].split() == ["0", "0", "21", "True"]
 
     def test_hierarchical_point_evaluation_loads_no_scipy(self):
-        """``eval_basis`` and ``eval_basis_derivatives`` of a refined space build no matrix."""
+        """Point evaluation of a refined space, values or a derivative, builds no matrix."""
         script = (
             "import sys\n"
             "from splinefit import CellId, HierarchicalSpace, SplineSpace\n"
             "from splinefit import make_open_knot_vector\n"
             "kv = make_open_knot_vector((0.0, 1.0), 2, [0.25, 0.5, 0.75])\n"
             "h = HierarchicalSpace.from_base(SplineSpace([kv, kv])).refine([CellId(0, (0, 0))])\n"
-            "idx, _ = h.eval_basis([0.1, 0.2])\n"
+            "idx, _ = h.eval_basis_derivatives([0.1, 0.2], None)\n"
             "didx, _ = h.eval_basis_derivatives([0.1, 0.2], (1, 0))\n"
             "print(h.num_levels, idx.size > 0, didx.size > 0,\n"
             "      *(name for name in sys.modules if name.startswith('scipy')))\n"
@@ -1353,3 +1375,61 @@ class TestExitCodes:
              "--interior-knots", "5", "--param", "given"]
         )
         assert rc == 2
+
+    def test_non_finite_sample_is_numeric_error(self, tmp_path, capsys):
+        """Finite coefficients whose first derivatives overflow: exit 2 and no samples file."""
+        kv = make_open_knot_vector((0.0, 1.0), 3, [0.5])
+        space = SplineSpace([kv, kv])
+        coefficients = np.zeros(space.dim)
+        coefficients[:2] = 1e308
+        model = tmp_path / "m.json"
+        write_model(model, SplineFunction(space, coefficients))
+        out = tmp_path / "s.csv"
+        rc = main(["sample", "--model", str(model), "--grid", "5x5", "--deriv", "1",
+                   "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "samples are not finite" in captured.err and "wrote" not in captured.out
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, option, value, shown",
+        [(["fit-adaptive", "--mesh", "2x2"], "--eps", "-1", "-1.0"),
+         (["fit-adaptive", "--mesh", "2x2"], "--eps", "0", "0.0"),
+         (["fit-adaptive", "--mesh", "2x2"], "--eps", "nan", "nan"),
+         (["fit", "--interior-knots", "1"], "--max-iter", "0", "0")],
+        ids=["eps-negative", "eps-zero", "eps-nan", "max-iter-zero"],
+    )
+    def test_fit_setting_it_refuses_names_its_option(
+        self, tmp_path, seven_csv, capsys, command, option, value, shown
+    ):
+        """A FitConfig error used to name no option, and ``--eps`` blamed the tolerances."""
+        cloud = seven_csv
+        if command[0] == "fit-adaptive":
+            g = np.linspace(0.0, 1.0, 6)
+            sites = np.stack(np.meshgrid(g, g), -1).reshape(-1, 2)
+            cloud = str(tmp_path / "surface.csv")
+            write_point_cloud(cloud, WeightedPointCloud(sites, sites.sum(axis=1)))
+        model = tmp_path / "m.json"
+        rc = main([command[0], "--cloud", cloud, *command[1:], option, value, "--out", str(model)])
+        assert rc == 1
+        assert f"argument {option} {shown}: " in capsys.readouterr().err
+        assert not model.exists()
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [(["fit", "--knots=-5,-5,-5,-5,0,5,5,5,5", "--interior-knots", "40"], "--interior-knots"),
+         (["verify", "--basis", "spline", "--degree", "2", "--knots=-5,-5,-5,0,5,5,5",
+           "--interior-knots", "3"], "--interior-knots"),
+         (["verify", "--basis", "poly", "--interior-knots", "3"], "--interior-knots"),
+         (["verify", "--basis", "poly", "--knots", "averaging"], "--knots")],
+        ids=["fit-explicit-knots", "verify-spline-explicit-knots", "verify-poly-knot-count",
+             "verify-poly-knots"],
+    )
+    def test_knot_option_the_command_would_ignore_is_config_error(
+        self, seven_csv, capsys, argv, option
+    ):
+        """These options used to be dropped unread, with exit 0."""
+        assert main([argv[0], "--cloud", seven_csv, *argv[1:]]) == 1
+        captured = capsys.readouterr()
+        assert f"usage error: {option} does not apply" in captured.err and not captured.out

@@ -10,18 +10,23 @@ from hypothesis import strategies as st
 
 from splinefit import (
     CellId,
+    FitConfig,
     HierarchicalSpace,
     SplineFunction,
     SplineSpace,
+    WeightedPointCloud,
+    adaptive_rwls_fit,
     assemble_thin_plate,
     build_hierarchical,
     collocation_hierarchical,
     collocation_matrix,
     dyadic_refine_space,
+    evaluate_3peaks,
     make_open_knot_vector,
     mark_cells,
     uniform_interior,
 )
+from splinefit.cli_io import read_model, write_model
 from splinefit.hierarchical import _coarsen_any, _dilate, _function_cell_ranges, _window_all
 from splinefit.spline_core import KnotVector
 
@@ -220,6 +225,25 @@ class TestBuildHierarchical:
         assert h.leaf_cells() == leaves and [a.tolist() for a in h.active] == active
         assert not h.domains[1].flags.writeable
 
+    def test_bookkeeping_arrays_are_read_only(self, tmp_path):
+        """``active``, ``offsets`` and the column maps cannot be edited; a fit and its model
+        round trip are as before."""
+        g = np.linspace(-1.0, 1.0, 16)
+        sites = np.stack(np.meshgrid(g, g, indexing="ij"), -1).reshape(-1, 2)
+        cloud = WeightedPointCloud(sites, evaluate_3peaks(sites[:, 0], sites[:, 1]))
+        config = FitConfig(eps=1e-3, tol_i=1e-2, lam=1e-6, max_levels=2, alpha_mode="fixed_factor")
+        fn = adaptive_rwls_fit(grid_space(3, 8, domain=(-1.0, 1.0)), cloud, config).function
+        h = fn.space
+        assert h.num_levels == 2 and all(a.size for a in h.active)
+        for arr in (*h.active, h.offsets, *h._columns):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 35
+        write_model(tmp_path / "m.json", fn)
+        again = read_model(tmp_path / "m.json")
+        assert [a.tolist() for a in again.space.active] == [a.tolist() for a in h.active]
+        assert again.coefficients.tobytes() == fn.coefficients.tobytes()
+        assert again.evaluate_many(sites).tobytes() == fn.evaluate_many(sites).tobytes()
+
     def test_no_marks_is_the_base(self):
         base = grid_space(2, 4)
         h = build_hierarchical(base, {})
@@ -298,7 +322,7 @@ class TestBuildHierarchical:
 
 
 def _tensor_function_value(space, flat_index, x):
-    idx, vals = space.eval_basis(x)
+    idx, vals = space.eval_basis_derivatives(x, None)
     hit = np.flatnonzero(idx == flat_index)
     return float(vals[hit[0]]) if hit.size else 0.0
 
@@ -341,8 +365,8 @@ class TestEvaluation:
         rng = np.random.default_rng(2)
         for _ in range(50):
             x = rng.uniform(0, 1, 2)
-            ih, vh = h.eval_basis(x)
-            it, vt = base.eval_basis(x)
+            ih, vh = h.eval_basis_derivatives(x, None)
+            it, vt = base.eval_basis_derivatives(x, None)
             order_h, order_t = np.argsort(ih), np.argsort(it)
             np.testing.assert_array_equal(ih[order_h], it[order_t])
             np.testing.assert_allclose(vh[order_h], vt[order_t])
@@ -350,7 +374,7 @@ class TestEvaluation:
     def test_coarse_region_sees_only_coarse_functions(self):
         base = grid_space(2, 4)
         h = HierarchicalSpace.from_base(base).refine([CellId(0, (0, 0))], buffer=False)
-        idx, vals = h.eval_basis([0.9, 0.9])
+        idx, vals = h.eval_basis_derivatives([0.9, 0.9], None)
         assert np.all(idx < h.offsets[1])
         assert np.all(vals >= 0)
 
@@ -361,7 +385,7 @@ class TestEvaluation:
         )
         rng = np.random.default_rng(3)
         for _ in range(300):
-            _, vals = h.eval_basis(rng.uniform(0, 1, 2))
+            _, vals = h.eval_basis_derivatives(rng.uniform(0, 1, 2), None)
             assert np.all(vals >= 0)
 
     def test_derivatives_match_finite_differences(self):
@@ -375,8 +399,8 @@ class TestEvaluation:
                 up, dn = x.copy(), x.copy()
                 up[axis] += step
                 dn[axis] -= step
-                iu, vu = h.eval_basis(up)
-                idn, vdn = h.eval_basis(dn)
+                iu, vu = h.eval_basis_derivatives(up, None)
+                idn, vdn = h.eval_basis_derivatives(dn, None)
                 rowu = np.zeros(h.dim)
                 rowu[iu] = vu
                 rowd = np.zeros(h.dim)
@@ -434,7 +458,7 @@ class TestCollocationHierarchical:
         B = collocation_hierarchical(h, sites).toarray()
         assert B.shape == (40, h.dim)
         for i, x in enumerate(sites):
-            idx, vals = h.eval_basis(x)
+            idx, vals = h.eval_basis_derivatives(x, None)
             row = np.zeros(h.dim)
             row[idx] = vals
             np.testing.assert_allclose(B[i], row, atol=1e-15)
@@ -610,3 +634,84 @@ class TestBookkeepingMatchesReferences:
         assert h.active[0].tolist() == [1, 2]
         h = h.refine([CellId(0, (0,))], buffer=False)
         assert [a.tolist() for a in h.active] == [[], [1, 2, 3]]
+
+
+# ----------------------------------------------------------------------
+# The level locator against the two loops it replaced: the per-level rows
+# of basis evaluation, each level testing the sites the last one kept, and
+# the finest-first cell marking.
+# ----------------------------------------------------------------------
+
+
+def loop_rows(h, sites, alphas):
+    """The per-level rows as a separate loop that skips a level whose subdomain is everything."""
+    rows, local = slice(None), sites
+    for space, act, column, own in zip(h.levels, h.active, h._columns, h.domains):
+        if not own.all():
+            inside = own[tuple(kv.cell_of(x) for kv, x in zip(space.knot_vectors, local.T))]
+            if not inside.all():
+                rows = np.flatnonzero(inside) if isinstance(rows, slice) else rows[inside]
+                local = local[inside]
+        if act.size:
+            idx, vals = space._tensor_rows(local, alphas)
+            yield rows, column[idx], vals
+
+
+def finest_first_mark_cells(h, sites, errors, eps):
+    """Marked leaves from a loop over the levels finest first, each keeping the sites it holds."""
+    pending = np.asarray(sites)[np.asarray(errors) > eps]
+    marked = [np.zeros_like(mask) for mask in h.domains]
+    for lev in range(h.num_levels - 1, -1, -1):
+        index = tuple(kv.cell_of(x) for kv, x in zip(h.levels[lev].knot_vectors, pending.T))
+        inside = h.domains[lev][index]
+        marked[lev][tuple(i[inside] for i in index)] = True
+        pending = pending[~inside]
+    return [CellId(lev, tuple(ix)) for lev, mask in enumerate(marked)
+            for ix in np.argwhere(mask).tolist()]
+
+
+class TestLocator:
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_locator_rows_basis_and_marks_match_the_loops(self, data):
+        ndim = data.draw(st.integers(1, 2), label="ndim")
+        base = SplineSpace([data.draw(clamped_knot_vectors()) for _ in range(ndim)])
+        marks = {}
+        for lev in range(data.draw(st.integers(1, 2), label="refinements")):
+            h = build_hierarchical(base, marks)
+            inside = [tuple(ix) for ix in np.argwhere(h.domains[lev]).tolist()]
+            marks[lev] = data.draw(st.lists(st.sampled_from(inside), min_size=1, max_size=4,
+                                            unique=True), label="marked")
+        h = build_hierarchical(base, marks)
+        assert h.num_levels == len(marks) + 1
+
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        finest = [kv.breakpoints for kv in h.levels[-1].knot_vectors]
+        ends = np.array(list(itertools.product((0.0, 1.0), repeat=ndim)))
+        sites = np.vstack([
+            rng.uniform(0.0, 1.0, (40, ndim)),
+            # Breakpoints of every level (the finest holds them all) and both domain ends.
+            np.column_stack([rng.choice(b, 20) for b in finest]),
+            ends,
+        ])
+
+        located = list(h._locate(sites))
+        assert len(located) == h.num_levels
+        for (rows, local, cells), space, own in zip(located, h.levels, h.domains):
+            every = tuple(kv.cell_of(x) for kv, x in zip(space.knot_vectors, sites.T))
+            held = np.flatnonzero(own[every])
+            np.testing.assert_array_equal(np.arange(len(sites))[rows], held)
+            np.testing.assert_array_equal(local, sites[held])
+            for c, e in zip(cells, every):
+                np.testing.assert_array_equal(c, e[held])
+
+        for alpha in [None, tuple(min(1, d) for d in base.degrees)]:
+            got = h.basis_matrix(sites, alpha)
+            loop = HierarchicalSpace(h.levels, h.domains)
+            loop._rows = lambda s, a, loop=loop: loop_rows(loop, s, a)
+            want = loop.basis_matrix(sites, alpha)
+            for name in ("data", "indices", "indptr"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+        errors = rng.uniform(0.0, 1.0, sites.shape[0])
+        assert mark_cells(h, sites, errors, 0.5) == finest_first_mark_cells(h, sites, errors, 0.5)

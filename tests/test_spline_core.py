@@ -24,7 +24,7 @@ from conftest import SEVEN_SITES
 
 def dense_basis_row(space, x):
     """Full-length basis row from the windowed evaluation."""
-    idx, vals = space.eval_basis(x)
+    idx, vals = space.eval_basis_derivatives(x, None)
     row = np.zeros(space.dim)
     row[idx] = vals
     return row
@@ -76,7 +76,7 @@ class TestMakeOpenKnotVector:
 class TestEvalBasis:
     def test_linear_hats(self):
         space = SplineSpace(make_open_knot_vector((0.0, 1.0), 1, []))
-        idx, vals = space.eval_basis([0.25])
+        idx, vals = space.eval_basis_derivatives([0.25], None)
         np.testing.assert_array_equal(idx, [0, 1])
         np.testing.assert_allclose(vals, [0.75, 0.25])
 
@@ -100,7 +100,7 @@ class TestEvalBasis:
 
     def test_rejects_point_outside_domain(self, quad_spline_space):
         with pytest.raises(ValueError, match="outside domain"):
-            quad_spline_space.eval_basis([5.5])
+            quad_spline_space.eval_basis_derivatives([5.5], None)
 
     def test_partition_of_unity_and_nonnegativity(self):
         """Clamped bases sum to one and stay non-negative at random points."""
@@ -112,7 +112,7 @@ class TestEvalBasis:
         for space in spaces:
             lo, hi = space.domain[0]
             for x in rng.uniform(lo, hi, 1000):
-                idx, vals = space.eval_basis([x])
+                idx, vals = space.eval_basis_derivatives([x], None)
                 assert np.all(vals >= 0)
                 assert abs(vals.sum() - 1.0) < 1e-12
 
@@ -138,14 +138,14 @@ class TestEvalBasis:
         rng = np.random.default_rng(3)
         for _ in range(200):
             x = [rng.uniform(0, 1), rng.uniform(0, 2)]
-            idx, vals = space.eval_basis(x)
+            idx, vals = space.eval_basis_derivatives(x, None)
             assert vals.size <= 3 * 4
             assert abs(vals.sum() - 1.0) < 1e-12
 
 
 class TestEvalBasisDerivatives:
     def test_order_zero_equals_basis(self, quad_spline_space):
-        idx0, v0 = quad_spline_space.eval_basis([0.8])
+        idx0, v0 = quad_spline_space.eval_basis_derivatives([0.8], None)
         idx1, v1 = quad_spline_space.eval_basis_derivatives([0.8], (0,))
         np.testing.assert_array_equal(idx0, idx1)
         np.testing.assert_allclose(v0, v1)
@@ -157,7 +157,7 @@ class TestEvalBasisDerivatives:
         np.testing.assert_allclose(vals, [-1.0, 1.0])
 
     def test_first_derivative_matches_finite_differences(self):
-        """Central differences of eval_basis reproduce the analytic derivative."""
+        """Central differences of the basis values reproduce the analytic derivative."""
         space = SplineSpace(make_open_knot_vector((0.0, 1.0), 3, [0.25, 0.5, 0.75]))
         rng = np.random.default_rng(11)
         h = 1e-6
@@ -299,7 +299,7 @@ class TestWeightedPointCloud:
         cloud = WeightedPointCloud([0.0, 1.0], [1.0, 2.0])
         with pytest.raises(ValueError):
             cloud.weights[0] = 2.0
-        replaced = cloud.with_weights([2.0, 3.0])
+        replaced = WeightedPointCloud(cloud.sites, cloud.values, [2.0, 3.0], cloud.markers)
         np.testing.assert_array_equal(cloud.weights, [1.0, 1.0])
         np.testing.assert_array_equal(replaced.weights, [2.0, 3.0])
 

@@ -291,7 +291,8 @@ class TestBlockRowSweep:
 
 def interpolate_on(space, values_fn):
     """Coefficients reproducing values_fn at the Greville grid (exact if representable)."""
-    pts = space.greville_points()
+    axes = [kv.greville() for kv in space.knot_vectors]
+    pts = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
     B = collocation_matrix(space, pts)
     return np.linalg.solve(B, values_fn(pts))
 
@@ -769,7 +770,7 @@ class TestMetrics:
         c = solve_wls(B, seven_cloud.weights, seven_cloud.values)
         dec = decompose(quad_poly_space, seven_cloud)
         for x in np.linspace(-5, 5, 31):
-            idx, basis = quad_poly_space.eval_basis([x])
+            idx, basis = quad_poly_space.eval_basis_derivatives([x], None)
             direct = basis @ c[idx]
             np.testing.assert_allclose(
                 dec.reconstruct([x]), direct, rtol=1e-9, atol=1e-12
