@@ -283,9 +283,8 @@ def write_model(path, fn: SplineFunction) -> None:
         "knots": [kv.knots.tolist() for kv in base.knot_vectors],
     }
     if hierarchical:
-        doc["levels"] = space.num_levels
-        doc["subdomains"] = [space.subdomain_cells(lev).tolist()
-                             for lev in range(space.num_levels)]
+        doc["levels"] = len(space.levels)
+        doc["subdomains"] = [np.flatnonzero(d).tolist() for d in space.domains]
         doc["active"] = [a.tolist() for a in space.active]
     doc["coefficients"] = fn.coefficients.tolist()
     try:
@@ -427,22 +426,21 @@ def _uniform_kv(x, degree: int, cells: int) -> KnotVector:
 
 def _build_curve_space(args, sites) -> SplineSpace:
     degree = args.degree[0]
+    if args.knots in ("uniform", "averaging"):
+        if args.interior_knots is None:
+            raise _UsageError(f"--knots {args.knots} needs --interior-knots")
+    elif args.interior_knots is not None:
+        raise _UsageError("--interior-knots does not apply to an explicit --knots list")
     if args.knots == "uniform":
-        if args.interior_knots is None:
-            raise _UsageError("--knots uniform needs --interior-knots")
-        kv = _uniform_kv(sites, degree, args.interior_knots + 1)
-    elif args.knots == "averaging":
-        if args.interior_knots is None:
-            raise _UsageError("--knots averaging needs --interior-knots")
-        # The knots depend only on the set of sites, not on the row order.
-        kv = averaging_knots(
-            np.sort(sites.ravel()), args.interior_knots + degree + 1, degree
-        )
-    else:
-        if args.interior_knots is not None:
-            raise _UsageError("--interior-knots does not apply to an explicit --knots list")
-        values = [float(v) for v in args.knots.split(",")]
-        kv = KnotVector(np.asarray(values), degree)
+        return SplineSpace(_uniform_kv(sites, degree, args.interior_knots + 1))
+    try:  # knots no vector accepts are a usage error naming the option
+        if args.knots == "averaging":
+            # The knots depend only on the set of sites, not on the row order.
+            kv = averaging_knots(np.sort(sites.ravel()), args.interior_knots + degree + 1, degree)
+        else:
+            kv = KnotVector(np.asarray([float(v) for v in args.knots.split(",")]), degree)
+    except ValueError as exc:
+        raise _UsageError(f"argument --knots {args.knots}: {exc}") from None
     return SplineSpace(kv)
 
 
@@ -526,6 +524,9 @@ def _fit_config(args) -> FitConfig:
             shown = args.alpha if option == "--alpha" else value
             raise _UsageError(f"argument {option} {shown}: {exc}") from None
         kwargs[field] = value
+    if args.lam > 0 and min(args.degree) < 2:
+        raise _UsageError(f"argument --lambda {args.lam}: thin-plate energy needs degree >= 2 "
+                          "in every direction")
     if args.tol_i is None:
         # fit-adaptive without --tol-i: ten times the refinement threshold
         kwargs["tol_i"] = 10 * args.eps
@@ -590,6 +591,9 @@ def cmd_sample(args) -> int:
         for alpha in itertools.product(range(args.deriv + 1), repeat=ndim):
             if sum(alpha) == args.deriv:
                 deriv_alphas.append(alpha)
+    if args.deriv > min(space.degrees):
+        raise _UsageError(f"argument --deriv {args.deriv}: derivative order {args.deriv} "
+                          f"exceeds degree {min(space.degrees)}")
 
     d = fn.dim_values
     header = [f"x{i + 1}" for i in range(ndim)] + [f"v{k + 1}" for k in range(d)]

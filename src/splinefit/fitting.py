@@ -23,7 +23,7 @@ from .hierarchical import (
     collocation_hierarchical,
     mark_cells,
 )
-from .spline_core import SplineFunction, WeightedPointCloud, _point_indices
+from .spline_core import SplineFunction, WeightedPointCloud, _integer, _point_indices
 from .wls import (
     _csr_penalty,
     _fold_rows,
@@ -82,7 +82,7 @@ class FitConfig:
             raise ValueError("eps must be strictly positive")
         if not 0 <= self.lam < np.inf:
             raise ValueError(f"penalty weight must be finite and non-negative, got {self.lam!r}")
-        if self.max_iter < 1 or self.max_levels < 1:
+        if _integer(self.max_iter, "max_iter") < 1 or _integer(self.max_levels, "max_levels") < 1:
             raise ValueError("iteration and level caps must be at least one")
         if self.alpha_mode not in _ALPHA_MODES:
             raise ValueError(f"alpha_mode must be one of {_ALPHA_MODES}")

@@ -84,24 +84,24 @@ def _dilate(mask: np.ndarray) -> np.ndarray:
 
 
 class HierarchicalSpace(_RowSpace):
-    """Multi-level spline space defined by nested subdomains.
+    """Multi-level spline space: a base tensor space and the subdomains of its finer levels.
 
-    Immutable; :meth:`refine` returns a new space. Construction recomputes
-    the active sets from the subdomain masks, so instances are always
-    consistent with the selection rule.
+    Level ``l`` is the base refined ``l`` times by :func:`dyadic_refine_space`,
+    its cells masked by ``subdomains[l - 1]``; level 0 is the whole base.
+    Immutable; :meth:`refine` returns a new space. Construction recomputes the
+    active sets from the masks, so instances are always consistent with the
+    selection rule.
     """
 
-    def __init__(self, levels, domains):
+    def __init__(self, base: SplineSpace, subdomains=()):
+        self.domains = tuple(_frozen(d, bool) for d in [np.ones(base.cells, bool), *subdomains])
+        levels = [base]
+        while len(levels) < len(self.domains):
+            levels.append(dyadic_refine_space(levels[-1]))
         self.levels = tuple(levels)
-        self.domains = tuple(_frozen(d, bool) for d in domains)
-        if len(self.levels) != len(self.domains):
-            raise ValueError("one subdomain mask per level required")
-        base = self.levels[0]
         self.ndim = base.ndim
         self.degrees = base.degrees
         self.domain = base.domain
-        if not self.domains[0].all():
-            raise ValueError("the level-0 subdomain must cover the whole domain")
         for lev, (space, mask) in enumerate(zip(self.levels, self.domains)):
             if mask.shape != space.cells:
                 raise ValueError(
@@ -156,46 +156,36 @@ class HierarchicalSpace(_RowSpace):
 
     @classmethod
     def from_base(cls, space: SplineSpace) -> "HierarchicalSpace":
-        return cls([space], [np.ones(space.cells, dtype=bool)])
+        return cls(space)
 
     @classmethod
     def from_subdomains(cls, base: SplineSpace, cell_lists) -> "HierarchicalSpace":
-        """Rebuild a space from per-level flat cell index lists (level 0 implied full)."""
-        levels = [base]
-        domains = [np.ones(base.cells, dtype=bool)]
-        for cells in cell_lists:
-            space = dyadic_refine_space(levels[-1])
-            levels.append(space)
-            mask = np.zeros(space.cells, dtype=bool)
+        """Rebuild a space from the flat cell index lists of levels 1, 2, ... over ``base``."""
+        masks = []
+        for lev, cells in enumerate(cell_lists, 1):
+            mask = np.zeros([n * 2**lev for n in base.cells], dtype=bool)
             flat = np.asarray(list(cells), dtype=np.intp)
             if np.any((flat < 0) | (flat >= mask.size)):
                 raise ValueError(
-                    f"level {len(domains)} subdomain cell index out of range [0, {mask.size})"
+                    f"level {lev} subdomain cell index out of range [0, {mask.size})"
                 )
             mask.ravel()[flat] = True
-            domains.append(mask)
-        return cls(levels, domains)
-
-    def subdomain_cells(self, level: int) -> np.ndarray:
-        """Sorted flat indices of the level's subdomain cells."""
-        return np.flatnonzero(self.domains[level].ravel())
-
-    @property
-    def num_levels(self) -> int:
-        return len(self.levels)
+            masks.append(mask)
+        return cls(base, masks)
 
     # ------------------------------------------------------------------
     # Refinement
     # ------------------------------------------------------------------
 
     def refine(self, marked: Iterable[CellId], buffer: bool = True) -> "HierarchicalSpace":
-        """New space with the marked cells dyadically split.
+        """New space over the same base with the marked cells dyadically split.
 
-        The children of every marked cell join the next level's subdomain;
-        with ``buffer`` a one-ring of same-level neighbor cells (clipped to
-        the current subdomain) is refined along, so functions gain support
-        in the refined region. Levels are processed coarsest first, so a
-        mark may target a cell that a coarser mark creates. A level or index
+        The children of every marked cell join the next level's subdomain (a
+        new finest level's, for a mark on the finest); with ``buffer`` a
+        one-ring of same-level neighbor cells (clipped to the current
+        subdomain) is refined along, so functions gain support in the refined
+        region. Levels are processed coarsest first, so a mark may target a
+        cell that a coarser mark creates. A level or index
         that is not an integer (by ``operator.index``), a level outside the
         space, an index outside its level's cells and a cell outside its
         level's subdomain (a nesting violation) raise ``ValueError``.
@@ -209,10 +199,9 @@ class HierarchicalSpace(_RowSpace):
                     f"marked cell {cell!r} needs an integer level and index") from None
             per_level.setdefault(level, []).append(index)
 
-        levels = list(self.levels)
         domains = [d.copy() for d in self.domains]
         for lev in sorted(per_level):
-            if not 0 <= lev < len(levels):
+            if not 0 <= lev < len(domains):
                 raise ValueError(f"marked cell {CellId(lev, per_level[lev][0])} at unknown level")
             mask = np.zeros_like(domains[lev])
             for index in per_level[lev]:
@@ -227,11 +216,11 @@ class HierarchicalSpace(_RowSpace):
                 mask[index] = True
             if buffer:
                 mask = _dilate(mask) & domains[lev]
-            if lev + 1 == len(levels):
-                levels.append(dyadic_refine_space(levels[lev]))
-                domains.append(np.zeros(levels[-1].cells, dtype=bool))
-            domains[lev + 1] |= _expand_children(mask)
-        return HierarchicalSpace(levels, domains)
+            if lev + 1 == len(domains):
+                domains.append(_expand_children(mask))
+            else:
+                domains[lev + 1] |= _expand_children(mask)
+        return HierarchicalSpace(self.levels[0], domains[1:])
 
     # ------------------------------------------------------------------
     # Evaluation

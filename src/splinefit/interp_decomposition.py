@@ -22,7 +22,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NumericError, RankDeficiencyError, SubsetCapError
-from .spline_core import SplineFunction, WeightedPointCloud, _point_indices, collocation_matrix
+from .spline_core import (
+    SplineFunction, WeightedPointCloud, _integer, _point_indices, collocation_matrix
+)
 from .wls import solve_wls, weighted_solver
 
 __all__ = [
@@ -265,7 +267,7 @@ def irls_solve(space, cloud: WeightedPointCloud, p: float, max_iter: int):
     """
     if not 1.0 < p < 2.0:
         raise ValueError("p must lie strictly between 1 and 2")
-    if max_iter < 1:
+    if _integer(max_iter, "max_iter") < 1:
         raise ValueError("need at least one iteration")
 
     B = space.basis_matrix(cloud.sites)

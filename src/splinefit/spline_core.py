@@ -75,7 +75,7 @@ class KnotVector:
             raise ValueError("knots must be a one-dimensional sequence")
         if not np.all(np.isfinite(t)):
             raise ValueError("knots must be finite")
-        degree = int(degree)
+        degree = _integer(degree, "degree")
         if degree < 0:
             raise ValueError("degree must be non-negative")
         k = degree + 1
@@ -232,6 +232,7 @@ def make_open_knot_vector(
     End knots are repeated ``degree + 1`` times, so the dimension equals
     ``len(interior_breakpoints) + degree + 1``.
     """
+    degree = _integer(degree, "degree")
     a, b = float(domain[0]), float(domain[1])
     if not a < b:
         raise ValueError("domain must be a nonempty interval")
@@ -407,17 +408,21 @@ def _as_sites(sites, ndim: int) -> np.ndarray:
     return s
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an ``int``; what ``operator.index`` rejects (a float) raises
+    ``ValueError`` naming it as a ``what``, where ``int`` would truncate it."""
+    try:
+        return int(operator.index(value))
+    except TypeError:
+        raise ValueError(f"{what} {value!r} is not an integer") from None
+
+
 def _integers(values, what: str) -> np.ndarray:
-    """``values`` as an ``intp`` array; an entry that ``operator.index`` rejects
-    (a float among them) raises ``ValueError`` naming it as a ``what``, where
-    numpy would truncate the float."""
+    """``values`` as an ``intp`` array, each entry checked by :func:`_integer`."""
     arr = np.asarray(values)
     if arr.dtype.kind not in "iu":
         for i in np.asarray(values, dtype=object).ravel():
-            try:
-                operator.index(i)
-            except TypeError:
-                raise ValueError(f"{what} {i!r} is not an integer") from None
+            _integer(i, what)
     return arr.astype(np.intp, copy=False)
 
 

@@ -375,10 +375,10 @@ def _gram_1d(kvs) -> np.ndarray:
     """``G[k]``, ``k = 0, 1, 2``: integrals of products of ``k``-th derivatives.
 
     The functions are those of every knot vector in ``kvs``, numbered one
-    knot vector after another. Gauss-Legendre quadrature with ``degree + 1``
-    points on every span of the union of their breakpoints is exact.
+    knot vector after another. Each refines the one before, so Gauss-Legendre
+    quadrature with ``degree + 1`` points on every span of the last is exact.
     """
-    breaks = np.unique(np.concatenate([kv.breakpoints for kv in kvs]))
+    breaks = kvs[-1].breakpoints
     nodes, gauss_w = np.polynomial.legendre.leggauss(kvs[0].degree + 1)
     half = 0.5 * np.diff(breaks)
     x = (breaks[:-1, None] + half[:, None] * (nodes + 1.0)).ravel()

@@ -57,7 +57,7 @@ def three_levels_without_level_zero():
     h = HierarchicalSpace.from_base(SplineSpace([kv, kv])).refine(
         [CellId(0, (i, j)) for i in range(3) for j in range(3)], buffer=False
     ).refine([CellId(1, (0, 5)), CellId(1, (1, 5))], buffer=False)
-    assert h.num_levels == 3 and h.active[0].size == 0
+    assert len(h.levels) == 3 and h.active[0].size == 0
     assert h.active[1].size and h.active[2].size
     return h
 

@@ -231,7 +231,7 @@ def _hierarchical_spaces():
     base = SplineSpace([kv, kv])
     h = build_hierarchical(base, {0: [(1, 1), (1, 2), (4, 4)], 1: [(2, 3), (3, 3)]})
     h = h.refine([CellId(2, (5, 6))], buffer=True)
-    assert h.num_levels == 4
+    assert len(h.levels) == 4
     return [
         pytest.param(h, id="four-levels"),
         pytest.param(three_levels_without_level_zero(), id="no-level-zero"),

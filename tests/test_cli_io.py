@@ -756,7 +756,7 @@ class TestFitAdaptiveCommand:
         levels = {int(r[0]) for r in rows[1:]}
         assert 0 in levels and 1 in levels
         fn = read_model(model)
-        assert fn.space.num_levels >= 2
+        assert len(fn.space.levels) >= 2
 
     def test_e5_fit_runs_in_560_mib_of_address_space(self, tmp_path):
         """300x300 sites on a 60x60 bicubic mesh over 4 levels, end to end through the CLI.
@@ -818,7 +818,7 @@ class TestFitAdaptiveCommand:
             [CellId(0, (1, 1)), CellId(0, (3, 2))], buffer=True
         )
         h = h.refine([CellId(1, (3, 3))], buffer=False)
-        assert h.num_levels == 3
+        assert len(h.levels) == 3
         path = tmp_path / "mesh.csv"
         _write_mesh_dump(path, h)
         lines = ["level,x1_lo,x1_hi,x2_lo,x2_hi"]
@@ -892,7 +892,7 @@ class TestSampleColumnsInOneCall:
         h = HierarchicalSpace.from_base(SplineSpace([kv, kv])).refine(
             [CellId(0, (1, 1)), CellId(0, (3, 0))], buffer=True
         ).refine([CellId(1, (2, 2))], buffer=False)
-        assert h.num_levels == 3
+        assert len(h.levels) == 3
         fn = SplineFunction(h, np.random.default_rng(5).normal(size=(h.dim, dim_values)))
         model = tmp_path / "h.json"
         write_model(model, fn)
@@ -1020,6 +1020,16 @@ class TestSettingsHaveCallers:
 
         assert named and all(map(resolves, named)), sorted(n for n in named if not resolves(n))
 
+    def test_every_python_block_in_the_readme_runs(self):
+        """Each fenced ``python`` block of ``README.md`` runs in a fresh interpreter, with
+        ``-O`` when the suite itself runs under it."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.DOTALL | re.MULTILINE)
+        assert blocks
+        for block in blocks:
+            proc = fresh_python(*["-O"] * sys.flags.optimize, "-c", block)
+            assert proc.returncode == 0, block + proc.stdout + proc.stderr
+
 
 def fresh_python(*args):
     """Run a fresh interpreter on ``args`` with this checkout's ``src`` on the path."""
@@ -1068,7 +1078,7 @@ class TestStartup:
         h = HierarchicalSpace.from_base(SplineSpace([kv, kv])).refine(
             [CellId(0, (0, 0)), CellId(0, (3, 2))], buffer=True
         )
-        assert h.num_levels == 2
+        assert len(h.levels) == 2
         model, out = tmp_path / "h.json", tmp_path / "samples.csv"
         write_model(model, SplineFunction(h, np.random.default_rng(3).normal(size=(h.dim, 1))))
         script = (
@@ -1114,7 +1124,7 @@ class TestStartup:
             "h = HierarchicalSpace.from_base(SplineSpace([kv, kv])).refine([CellId(0, (0, 0))])\n"
             "idx, _ = h.eval_basis_derivatives([0.1, 0.2], None)\n"
             "didx, _ = h.eval_basis_derivatives([0.1, 0.2], (1, 0))\n"
-            "print(h.num_levels, idx.size > 0, didx.size > 0,\n"
+            "print(len(h.levels), idx.size > 0, didx.size > 0,\n"
             "      *(name for name in sys.modules if name.startswith('scipy')))\n"
         )
         proc = fresh_python("-c", script)
@@ -1346,6 +1356,36 @@ class TestExitCodes:
         assert main([command[0], "--cloud", seven_csv, *command[1:], option, value]) == 1
         err = capsys.readouterr().err
         assert f"argument {option}: " in err and f"got {value!r}" in err
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [(["fit", "--knots", "a,b"], "--knots a,b: could not convert string to float: 'a'"),
+         (["fit", "--knots", "0,0,0,1,1"], "--knots 0,0,0,1,1: knot vector has an empty domain"),
+         (["fit", "--knots", "averaging", "--interior-knots", "4", "--degree", "0"],
+          "--knots averaging: averaging knot placement needs degree >= 1"),
+         (["fit", "--degree", "1", "--interior-knots", "3", "--lambda", "1e-3"],
+          "--lambda 0.001: thin-plate energy needs degree >= 2 in every direction"),
+         (["sample", "--grid", "5", "--deriv", "4"],
+          "--deriv 4: derivative order 4 exceeds degree 3")],
+        ids=["fit-knots-not-numbers", "fit-knots-empty-domain", "fit-averaging-degree-zero",
+             "fit-lambda-linear", "sample-deriv-above-degree"],
+    )
+    def test_usage_error_names_its_option(self, tmp_path, capsys, argv, named):
+        """These messages used to name no option."""
+        x = np.linspace(0.0, 1.0, 11)
+        cloud = tmp_path / "curve.csv"
+        write_point_cloud(cloud, WeightedPointCloud(x, np.sin(3.0 * x)))
+        model, out = tmp_path / "m.json", tmp_path / "s.csv"
+        if argv[0] == "sample":
+            kv = make_open_knot_vector((0.0, 1.0), 3, [0.5])
+            write_model(model, SplineFunction(SplineSpace(kv), np.ones(kv.dim)))
+            argv = [*argv, "--model", str(model), "--out", str(out)]
+        else:
+            argv = [argv[0], "--cloud", str(cloud), *argv[1:], "--out", str(model)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"usage error: argument {named}\n" and not captured.out
+        assert not (out if argv[0] == "sample" else model).exists()
 
     def test_bad_flag_value_is_config_error(self, seven_csv):
         assert main(["fit", "--cloud", seven_csv, "--param", "bogus"]) == 1

@@ -27,6 +27,7 @@ from splinefit import (
     evaluate_test_curves,
     feature_weighted_sites,
     init_markers_from_ls,
+    irls_solve,
     make_open_knot_vector,
     rwls_fit,
     solve_penalized_wls,
@@ -36,6 +37,7 @@ from splinefit import (
     update_weights,
 )
 from splinefit.fitting import _record
+from splinefit.spline_core import KnotVector
 
 
 def grid_cloud_3peaks(samples):
@@ -67,6 +69,25 @@ def surface_space(degree, cells):
 def test_fit_config_rejects_non_finite_parameters(kwargs, value):
     with pytest.raises(ValueError, match=f"must be finite .*, got {value}$"):
         FitConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "call, shown",
+    [(lambda: KnotVector([0, 0, 0, 1, 1, 1], 2.7), "degree 2.7"),
+     (lambda: make_open_knot_vector((0.0, 1.0), 2.5), "degree 2.5"),
+     (lambda: FitConfig(max_iter=2.5), "max_iter 2.5"),
+     (lambda: FitConfig(max_levels=1.5), "max_levels 1.5"),
+     (lambda: irls_solve(SplineSpace(make_open_knot_vector((0.0, 1.0), 1)),
+                         WeightedPointCloud([0.0, 0.5, 1.0], [0.0, 1.0, 0.0]), 1.5, 2.5),
+      "max_iter 2.5")],
+    ids=["knot-vector-degree", "open-knot-vector-degree", "max-iter", "max-levels",
+         "irls-max-iter"],
+)
+def test_integer_argument_that_is_not_an_integer_is_refused(call, shown):
+    """A float used to be truncated (degree 2.7 built degree 2) or to fail later in numpy
+    or ``range`` with a bare ``TypeError``."""
+    with pytest.raises(ValueError, match=rf"^{re.escape(shown)} is not an integer$"):
+        call()
 
 
 class TestUpdateWeights:

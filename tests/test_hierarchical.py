@@ -1,6 +1,7 @@
 """Hierarchical spaces: refinement, active-function selection, evaluation."""
 
 import itertools
+import unittest.mock
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from splinefit import (
     mark_cells,
     uniform_interior,
 )
+import splinefit.wls
 from splinefit.cli_io import read_model, write_model
 from splinefit.hierarchical import _coarsen_any, _dilate, _function_cell_ranges, _window_all
 from splinefit.spline_core import KnotVector
@@ -50,7 +52,7 @@ def brute_force_active(h):
         kvs = space.knot_vectors
         mids = [0.5 * (kv.breakpoints[:-1] + kv.breakpoints[1:]) for kv in kvs]
         domain_cells = {tuple(ix) for ix in np.argwhere(h.domains[lev])}
-        if lev + 1 < h.num_levels:
+        if lev + 1 < len(h.levels):
             fine_cells = {tuple(ix) for ix in np.argwhere(h.domains[lev + 1])}
             fine_mids = [
                 0.5 * (kv.breakpoints[:-1] + kv.breakpoints[1:])
@@ -117,7 +119,7 @@ def reference_active(h):
         los = [r[0] for r in ranges]
         his = [r[1] for r in ranges]
         own = reference_window_all(h.domains[lev], los, his)
-        if lev + 1 < h.num_levels:
+        if lev + 1 < len(h.levels):
             child = reference_window_all(
                 h.domains[lev + 1], [2 * lo for lo in los], [2 * hi for hi in his]
             )
@@ -131,7 +133,7 @@ def reference_leaf_cells(h):
     """Subdomain cells whose children are not all in the next subdomain, level by level."""
     out = []
     for lev, mask in enumerate(h.domains):
-        if lev + 1 < h.num_levels:
+        if lev + 1 < len(h.levels):
             mask = mask & _coarsen_any(~h.domains[lev + 1])
         for flat in np.flatnonzero(mask.ravel()):
             out.append(CellId(lev, tuple(np.unravel_index(flat, mask.shape))))
@@ -142,7 +144,7 @@ def reference_mark_cells(h, sites, errors, eps):
     """Per offending site, the cell of the finest level whose subdomain holds it, deduplicated."""
     marked = set()
     for x in np.asarray(sites)[np.asarray(errors) > eps]:
-        for lev in range(h.num_levels - 1, -1, -1):
+        for lev in range(len(h.levels) - 1, -1, -1):
             index = tuple(int(kv.cell_of(xi)) for kv, xi in zip(h.levels[lev].knot_vectors, x))
             if h.domains[lev][index]:
                 marked.add(CellId(lev, index))
@@ -216,12 +218,12 @@ class TestBuildHierarchical:
         """Writing to the caller's masks after construction changes no space."""
         base = grid_space(2, 4)
         fine = dyadic_refine_space(base)
-        coarse_mask, fine_mask = np.ones(base.cells, dtype=bool), np.zeros(fine.cells, dtype=bool)
+        fine_mask = np.zeros(fine.cells, dtype=bool)
         fine_mask[:2, :2] = True
-        h = HierarchicalSpace([base, fine], [coarse_mask, fine_mask])
+        h = HierarchicalSpace(base, [fine_mask])
         leaves, active = h.leaf_cells(), [a.tolist() for a in h.active]
         fine_mask[:] = True
-        assert h.subdomain_cells(1).tolist() == [0, 1, 8, 9]
+        assert np.flatnonzero(h.domains[1]).tolist() == [0, 1, 8, 9]
         assert h.leaf_cells() == leaves and [a.tolist() for a in h.active] == active
         assert not h.domains[1].flags.writeable
 
@@ -234,7 +236,7 @@ class TestBuildHierarchical:
         config = FitConfig(eps=1e-3, tol_i=1e-2, lam=1e-6, max_levels=2, alpha_mode="fixed_factor")
         fn = adaptive_rwls_fit(grid_space(3, 8, domain=(-1.0, 1.0)), cloud, config).function
         h = fn.space
-        assert h.num_levels == 2 and all(a.size for a in h.active)
+        assert len(h.levels) == 2 and all(a.size for a in h.active)
         for arr in (*h.active, h.offsets, *h._columns):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 35
@@ -248,7 +250,7 @@ class TestBuildHierarchical:
         base = grid_space(2, 4)
         h = build_hierarchical(base, {})
         assert h.dim == base.dim
-        assert h.num_levels == 1
+        assert len(h.levels) == 1
         assert h.active[0].size == base.dim
 
     def test_marking_everything_gives_next_level(self):
@@ -265,7 +267,7 @@ class TestBuildHierarchical:
         base = grid_space(2, 4)
         h = build_hierarchical(base, {0: [(0, 0)]})
         expected = brute_force_active(h)
-        for lev in range(h.num_levels):
+        for lev in range(len(h.levels)):
             assert h.active[lev].tolist() == expected[lev]
 
     def test_nesting_violation_raises(self):
@@ -288,7 +290,7 @@ class TestBuildHierarchical:
                     [CellId(level, tuple(ix)) for ix in chosen], buffer=False
                 )
             expected = brute_force_active(h)
-            for lev in range(h.num_levels):
+            for lev in range(len(h.levels)):
                 assert h.active[lev].tolist() == expected[lev]
 
     def test_dimension_never_decreases(self):
@@ -573,7 +575,7 @@ class TestBookkeepingMatchesReferences:
         h = HierarchicalSpace.from_base(SplineSpace(kvs))
         buffer = data.draw(st.booleans(), label="buffer")
         for _ in range(data.draw(st.integers(1, 3), label="steps")):
-            lev = data.draw(st.integers(0, h.num_levels - 1), label="level")
+            lev = data.draw(st.integers(0, len(h.levels) - 1), label="level")
             inside = [tuple(ix) for ix in np.argwhere(h.domains[lev]).tolist()]
             cells = data.draw(st.lists(st.sampled_from(inside), min_size=1, max_size=4,
                                        unique=True), label="marked")
@@ -661,7 +663,7 @@ def finest_first_mark_cells(h, sites, errors, eps):
     """Marked leaves from a loop over the levels finest first, each keeping the sites it holds."""
     pending = np.asarray(sites)[np.asarray(errors) > eps]
     marked = [np.zeros_like(mask) for mask in h.domains]
-    for lev in range(h.num_levels - 1, -1, -1):
+    for lev in range(len(h.levels) - 1, -1, -1):
         index = tuple(kv.cell_of(x) for kv, x in zip(h.levels[lev].knot_vectors, pending.T))
         inside = h.domains[lev][index]
         marked[lev][tuple(i[inside] for i in index)] = True
@@ -683,7 +685,7 @@ class TestLocator:
             marks[lev] = data.draw(st.lists(st.sampled_from(inside), min_size=1, max_size=4,
                                             unique=True), label="marked")
         h = build_hierarchical(base, marks)
-        assert h.num_levels == len(marks) + 1
+        assert len(h.levels) == len(marks) + 1
 
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         finest = [kv.breakpoints for kv in h.levels[-1].knot_vectors]
@@ -696,7 +698,7 @@ class TestLocator:
         ])
 
         located = list(h._locate(sites))
-        assert len(located) == h.num_levels
+        assert len(located) == len(h.levels)
         for (rows, local, cells), space, own in zip(located, h.levels, h.domains):
             every = tuple(kv.cell_of(x) for kv, x in zip(space.knot_vectors, sites.T))
             held = np.flatnonzero(own[every])
@@ -707,7 +709,7 @@ class TestLocator:
 
         for alpha in [None, tuple(min(1, d) for d in base.degrees)]:
             got = h.basis_matrix(sites, alpha)
-            loop = HierarchicalSpace(h.levels, h.domains)
+            loop = HierarchicalSpace(h.levels[0], h.domains[1:])
             loop._rows = lambda s, a, loop=loop: loop_rows(loop, s, a)
             want = loop.basis_matrix(sites, alpha)
             for name in ("data", "indices", "indptr"):
@@ -715,3 +717,91 @@ class TestLocator:
 
         errors = rng.uniform(0.0, 1.0, sites.shape[0])
         assert mark_cells(h, sites, errors, 0.5) == finest_first_mark_cells(h, sites, errors, 0.5)
+
+
+# ----------------------------------------------------------------------
+# A space is its base and the masks of its finer levels: the level spaces,
+# the three ways to build a space, the thin-plate quadrature on the finest
+# breakpoints and the model files all follow from those alone.
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def random_clamped_knot_vectors(draw):
+    """A clamped knot vector of degree 2-3 on a random interval, 0-3 interior breakpoints at
+    random hundredths of it, each of multiplicity 1..order."""
+    degree = draw(st.integers(2, 3), label="degree")
+    lo = draw(st.floats(-10.0, 10.0), label="lo")
+    hi = lo + draw(st.floats(0.1, 10.0), label="width")
+    ticks = sorted(draw(st.lists(st.integers(1, 99), max_size=3, unique=True), label="ticks"))
+    knots = [lo] * (degree + 1)
+    for tick in ticks:
+        knots += [lo + (hi - lo) * tick / 100] * draw(st.integers(1, degree + 1), label="mult")
+    return KnotVector(knots + [hi] * (degree + 1), degree)
+
+
+def union_gram_1d(kvs):
+    """``wls._gram_1d`` with its quadrature on every span of the union of all breakpoints."""
+    breaks = np.unique(np.concatenate([kv.breakpoints for kv in kvs]))
+    nodes, gauss_w = np.polynomial.legendre.leggauss(kvs[0].degree + 1)
+    half = 0.5 * np.diff(breaks)
+    x = (breaks[:-1, None] + half[:, None] * (nodes + 1.0)).ravel()
+    w = (half[:, None] * gauss_w).ravel()
+    idx, vals, n = [], [], 0
+    for kv in kvs:
+        first, ders = kv.basis_rows(x, 2)
+        idx.append(n + first[:, None] + np.arange(kv.order))
+        vals.append(ders)
+        n += kv.dim
+    idx = np.concatenate(idx, axis=1)
+    vals = np.concatenate(vals, axis=2)
+    pairs = (idx[:, :, None] * n + idx[:, None, :]).ravel()
+    prod = vals[:, :, :, None] * vals[:, :, None, :] * w[:, None, None, None]
+    return np.stack(
+        [np.bincount(pairs, prod[:, k].ravel(), minlength=n * n) for k in range(3)]
+    ).reshape(3, n, n)
+
+
+class TestDerivedLevels:
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_a_space_follows_from_its_base_and_masks(self, data, tmp_path_factory):
+        ndim = data.draw(st.integers(1, 2), label="ndim")
+        base = SplineSpace([data.draw(random_clamped_knot_vectors()) for _ in range(ndim)])
+        h = HierarchicalSpace(base)
+        for _ in range(data.draw(st.integers(1, 3), label="rounds")):
+            lev = len(h.levels) - 1  # mostly the finest, so that spaces of 3-4 levels occur
+            if data.draw(st.booleans(), label="coarser"):
+                lev = data.draw(st.integers(0, lev), label="level")
+            inside = [tuple(ix) for ix in np.argwhere(h.domains[lev]).tolist()]
+            cells = data.draw(st.lists(st.sampled_from(inside), min_size=1, max_size=4,
+                                       unique=True), label="marked")
+            h = h.refine([CellId(lev, ix) for ix in cells],
+                         buffer=data.draw(st.booleans(), label="buffer"))
+
+        for coarse, fine in zip(h.levels, h.levels[1:]):
+            want = dyadic_refine_space(coarse)
+            assert fine.degrees == want.degrees
+            assert ([kv.knots.tobytes() for kv in fine.knot_vectors]
+                    == [kv.knots.tobytes() for kv in want.knot_vectors])
+
+        handed = {lev: [tuple(ix) for ix in np.argwhere(_coarsen_any(finer)).tolist()]
+                  for lev, finer in enumerate(h.domains[1:])}
+        for other in (HierarchicalSpace(h.levels[0], h.domains[1:]),
+                      HierarchicalSpace.from_subdomains(
+                          base, [np.flatnonzero(d).tolist() for d in h.domains[1:]]),
+                      build_hierarchical(base, handed)):
+            assert [a.tobytes() for a in other.active] == [a.tobytes() for a in h.active]
+            assert other.offsets.tobytes() == h.offsets.tobytes()
+            assert other.leaf_cells() == h.leaf_cells()
+
+        with unittest.mock.patch.object(splinefit.wls, "_gram_1d", union_gram_1d):
+            want = assemble_thin_plate(h)
+        assert assemble_thin_plate(h).tobytes() == want.tobytes()
+
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        path = tmp_path_factory.mktemp("model") / "h.json"
+        write_model(path, SplineFunction(h, rng.normal(size=(h.dim, 2))))
+        written = path.read_bytes()
+        write_model(path, read_model(path))
+        assert path.read_bytes() == written

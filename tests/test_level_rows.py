@@ -83,7 +83,7 @@ def refined_spaces(draw):
     h = HierarchicalSpace.from_base(SplineSpace([draw(knot_vectors()) for _ in range(ndim)]))
     buffer = draw(st.booleans(), label="buffer")
     for _ in range(draw(st.integers(1, 3), label="steps")):
-        lev = draw(st.integers(0, h.num_levels - 1), label="level")
+        lev = draw(st.integers(0, len(h.levels) - 1), label="level")
         inside = [tuple(ix) for ix in np.argwhere(h.domains[lev]).tolist()]
         cells = draw(st.lists(st.sampled_from(inside), min_size=1, max_size=3, unique=True),
                      label="marked")

@@ -57,7 +57,7 @@ def hierarchical_problem():
     h = HierarchicalSpace.from_base(SplineSpace([kv, kv])).refine(
         [CellId(0, (1, 1)), CellId(0, (1, 2))], buffer=False
     )
-    assert h.num_levels == 2
+    assert len(h.levels) == 2
     rng = np.random.default_rng(29)
     sites = rng.uniform(0, 1, (300, 2))
     B = collocation_hierarchical(h, sites)
