@@ -25,8 +25,8 @@ from .hierarchical import (
 )
 from .spline_core import SplineFunction, WeightedPointCloud, _integer, _point_indices
 from .wls import (
+    _BandQR,
     _csr_penalty,
-    _fold_rows,
     assemble_thin_plate,
     solve_penalized_wls,
     solve_wls,
@@ -192,7 +192,7 @@ def rwls_fit(space, cloud: WeightedPointCloud, config: FitConfig) -> FitReport:
     ordinary least-squares solve).
 
     Unmarked weights never change, so their rows are folded into a triangle
-    once (:func:`splinefit.wls._fold_rows`) and each solve sweeps only the
+    once (:meth:`splinefit.wls._BandQR.fold`) and each solve sweeps only the
     triangle and the marked rows: ``n + |markers|`` rows instead of ``m``.
     The coefficients equal those of a solve on all of ``B`` up to rounding;
     a rank-deficient unmarked block is fine as long as the whole is not.
@@ -208,7 +208,7 @@ def rwls_fit(space, cloud: WeightedPointCloud, config: FitConfig) -> FitReport:
     # triangle once, and each solve sweeps it and the marked rows alone.
     vary = np.union1d(k1, k2)
     fixed = np.setdiff1d(np.arange(cloud.m), vary)
-    R, g = _fold_rows(B[fixed], w[fixed], f[fixed])
+    R, g = _BandQR(B[fixed]).fold(w[fixed], f[fixed])
     solve_folded = weighted_solver(scipy.sparse.vstack([R, B[vary]], format="csr"),
                                    P, config.lam)
     ones = np.ones(R.shape[0])
@@ -352,7 +352,7 @@ def feature_weighted_sites(m: int, centers) -> np.ndarray:
     point grid) sampled at ``m`` uniform levels, so the spacing contracts
     around every center.
     """
-    if m < 2:
+    if _integer(m, "m") < 2:
         raise ValueError("need at least two sites")
     grid = np.linspace(0.0, 1.0, 4001)
     density = np.ones_like(grid)
@@ -376,7 +376,7 @@ def top_gradient_markers(sites, values, count: int) -> np.ndarray:
     v = np.asarray(values, dtype=float)
     if v.ndim > 1:
         v = np.linalg.norm(v, axis=1)
-    if count < 0 or count > s.size:
+    if not 0 <= _integer(count, "count") <= s.size:
         raise ValueError("marker count out of range")
     slopes = np.abs(np.diff(v) / np.diff(s))
     score = np.zeros(s.size)

@@ -150,7 +150,7 @@ class KnotVector:
         *The NURBS Book*, A2.2 and A2.3), looping over the degree only and
         carrying all sites along in each array operation.
         """
-        if not 0 <= r <= self.degree:
+        if not 0 <= _integer(r, "derivative order") <= self.degree:
             raise ValueError(f"derivative order {r} outside 0..{self.degree}")
         x = self._clip(x)
         if x.ndim != 1:
@@ -249,7 +249,7 @@ def make_open_knot_vector(
 
 def uniform_interior(domain: tuple[float, float], count: int) -> np.ndarray:
     """``count`` equispaced interior breakpoints of ``domain``."""
-    if count < 0:
+    if _integer(count, "count") < 0:
         raise ValueError("count must be non-negative")
     a, b = domain
     return np.linspace(a, b, count + 2)[1:-1]
@@ -312,8 +312,8 @@ class _RowSpace:
         if np.isscalar(alpha):
             if self.ndim != 1:
                 raise ValueError("multi-index required for a multivariate space")
-            alpha = (int(alpha),)
-        alpha = tuple(int(a) for a in np.atleast_1d(alpha))
+            alpha = (alpha,)
+        alpha = tuple(_integers(np.atleast_1d(alpha), "derivative order").tolist())
         if len(alpha) != self.ndim:
             raise ValueError(
                 f"multi-index length {len(alpha)} does not match dimension {self.ndim}"
@@ -345,7 +345,6 @@ class SplineSpace(_RowSpace):
         self.dim = int(np.prod(self.dims))
         self.degrees = tuple(kv.degree for kv in self.knot_vectors)
         self.domain = tuple((kv.start, kv.end) for kv in self.knot_vectors)
-        self.clamped = all(kv.clamped for kv in self.knot_vectors)
 
     def __repr__(self):
         return f"SplineSpace(degrees={self.degrees}, dims={self.dims})"
@@ -625,10 +624,10 @@ def averaging_knots(sites, n: int, degree: int) -> KnotVector:
     """
     s = np.asarray(sites, dtype=float).ravel()
     m = s.size
-    if degree < 1:
+    if _integer(degree, "degree") < 1:
         raise ValueError("averaging knot placement needs degree >= 1")
     k = degree + 1
-    if n < k:
+    if _integer(n, "n") < k:
         raise ValueError(f"need n >= {k} for degree {degree}")
     if n > m:
         raise ValueError(f"cannot place {n} functions on {m} sites")

@@ -14,21 +14,20 @@ Reweighting loops solve on one ``B`` with ever new weights.
 :func:`weighted_solver` does the work that depends on ``B`` and ``P`` alone
 once (the CSR copies, the orders, the QR's block layout) and returns a
 ``solve(weights, f)`` that pays only for what the weights change; at
-``lam = 0`` it keeps its last sweep and skips the leading blocks whose
-rows did not change. :func:`solve_wls` and :func:`solve_penalized_wls` are
-one such solve. When only some rows' weights change, :func:`_fold_rows`
-folds the others into a triangle once, and the solver of the triangle
-stacked on the changing rows gives the same coefficients up to rounding.
+``lam = 0`` that is a :class:`_BandQR`, which keeps its last sweep and
+skips the leading blocks whose rows did not change. :func:`solve_wls` and
+:func:`solve_penalized_wls` are one such solve. When only some rows'
+weights change, :meth:`_BandQR.fold` folds the others into a triangle once,
+and the solver of the triangle stacked on the changing rows gives the same
+coefficients up to rounding.
 scipy is imported by the functions that use it, at the first solve or
 energy assembly: importing, reading and evaluating a model need numpy alone.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,10 +77,11 @@ def _finite(c, squeeze):
     return c[:, 0] if squeeze else c
 
 
-@dataclass(frozen=True)
-class _BandPlan:
-    """Weight-independent structure of the banded QR of one collocation matrix.
+class _BandQR:
+    """The banded QR of ``sqrt(W) B c = sqrt(W) f`` for one collocation matrix ``B``.
 
+    Built once per ``B``, called as ``solve(weights, f)`` for every weight
+    vector. The plan is weight-independent: ``pos`` numbers the columns,
     ``rows`` are the nonzero rows of ``B`` in sweep order, ``data`` their
     nonzeros row after row and ``counts`` the nonzeros per row. Each block
     is ``(j0, hi, r0, r1, p0, p1, scatter, band)``: it folds rows ``r0:r1``
@@ -93,160 +93,152 @@ class _BandPlan:
     flat LAPACK upper band storage of ``R`` with ``kd`` superdiagonals
     (column-major ``(kd + 1, n)``); entries below the diagonal go to one
     spare place after it.
+
+    :meth:`factor` keeps its last completed sweep and resumes from it, so
+    one instance must not be called from two threads at once.
     """
 
-    shape: tuple[int, int]
-    pos: np.ndarray
-    rows: np.ndarray
-    data: np.ndarray
-    counts: np.ndarray
-    kd: int
-    blocks: tuple
+    def __init__(self, B):
+        import scipy.sparse
+        A = scipy.sparse.csr_matrix(B, dtype=float, copy=True)
+        m, n = A.shape
+        A.sum_duplicates()
+        A.eliminate_zeros()
+        counts = np.diff(A.indptr)
+        rows = np.flatnonzero(counts)
 
+        # Column order: by the first row, in order of first column, touching it.
+        rank_of = np.empty(m, dtype=np.intp)
+        rank_of[rows[np.argsort(A.indices[A.indptr[rows]], kind="stable")]] = np.arange(rows.size)
+        touch = np.full(n, m, dtype=np.intp)
+        np.minimum.at(touch, A.indices, np.repeat(rank_of, counts))
+        pos = np.empty(n, dtype=np.intp)
+        pos[np.argsort(touch, kind="stable")] = np.arange(n)
 
-def _band_plan(B) -> _BandPlan:
-    """Column order, row order and block layout of the banded QR of ``B``."""
-    import scipy.sparse
-    A = scipy.sparse.csr_matrix(B, dtype=float, copy=True)
-    m, n = A.shape
-    A.sum_duplicates()
-    A.eliminate_zeros()
-    counts = np.diff(A.indptr)
-    rows = np.flatnonzero(counts)
+        # Rows with a nonzero, sorted by their first column in that order.
+        cols = pos[A.indices]
+        first = np.minimum.reduceat(cols, A.indptr[rows])
+        order = np.argsort(first, kind="stable")
+        rows, first = rows[order], first[order]
+        A = scipy.sparse.csr_matrix((A.data, cols, A.indptr), shape=(m, n))[rows]
+        counts = np.diff(A.indptr)
+        row_of = np.repeat(np.arange(rows.size), counts)
+        reach = np.maximum.accumulate(np.maximum.reduceat(A.indices, A.indptr[:-1])) + 1
 
-    # Column order: by the first row, in order of first column, touching it.
-    rank_of = np.empty(m, dtype=np.intp)
-    rank_of[rows[np.argsort(A.indices[A.indptr[rows]], kind="stable")]] = np.arange(rows.size)
-    touch = np.full(n, m, dtype=np.intp)
-    np.minimum.at(touch, A.indices, np.repeat(rank_of, counts))
-    pos = np.empty(n, dtype=np.intp)
-    pos[np.argsort(touch, kind="stable")] = np.arange(n)
+        # Windows only grow to the right, so the rows a block leaves before the
+        # next block's first column are final, and nonzero only in its window.
+        edges = np.searchsorted(first, np.arange(0, n + _BLOCK, _BLOCK))
+        spans = [(j0, int(r0), int(r1)) for j0, r0, r1 in zip(range(0, n, _BLOCK), edges[:-1], edges[1:])
+                 if r0 < r1]
+        his = [max(min(j0 + _BLOCK, n), int(reach[r1 - 1])) for j0, _, r1 in spans]
+        kd = max((hi - j0 for (j0, _, _), hi in zip(spans, his)), default=1) - 1
+        blocks = []
+        for (j0, r0, r1), hi, end in zip(spans, his, [j0 for j0, _, _ in spans[1:]] + [n]):
+            p0, p1 = A.indptr[r0], A.indptr[r1]
+            scatter = row_of[p0:p1] - r0 + (A.indices[p0:p1] - j0) * (r1 - r0)
+            a, b = np.arange(min(end, hi) - j0)[:, None], np.arange(hi - j0)
+            band = np.where(b >= a, kd + j0 + a + (j0 + b) * kd, (kd + 1) * n)
+            blocks.append((j0, hi, r0, r1, p0, p1, scatter, band))
+        self.shape, self.pos, self.rows, self.data, self.counts = (m, n), pos, rows, A.data, counts
+        self.kd, self.blocks = kd, tuple(blocks)
+        self._last = None
 
-    # Rows with a nonzero, sorted by their first column in that order.
-    cols = pos[A.indices]
-    first = np.minimum.reduceat(cols, A.indptr[rows])
-    order = np.argsort(first, kind="stable")
-    rows, first = rows[order], first[order]
-    A = scipy.sparse.csr_matrix((A.data, cols, A.indptr), shape=(m, n))[rows]
-    counts = np.diff(A.indptr)
-    row_of = np.repeat(np.arange(rows.size), counts)
-    reach = np.maximum.accumulate(np.maximum.reduceat(A.indices, A.indptr[:-1])) + 1
+    def factor(self, w, f2) -> tuple[np.ndarray, np.ndarray]:
+        """The sweep: triangle ``R`` and values ``G`` of ``sqrt(W) B c = sqrt(W) f``.
 
-    # Windows only grow to the right, so the rows a block leaves before the
-    # next block's first column are final, and nonzero only in its window.
-    edges = np.searchsorted(first, np.arange(0, n + _BLOCK, _BLOCK))
-    spans = [(j0, int(r0), int(r1)) for j0, r0, r1 in zip(range(0, n, _BLOCK), edges[:-1], edges[1:])
-             if r0 < r1]
-    his = [max(min(j0 + _BLOCK, n), int(reach[r1 - 1])) for j0, _, r1 in spans]
-    kd = max((hi - j0 for (j0, _, _), hi in zip(spans, his)), default=1) - 1
-    blocks = []
-    for (j0, r0, r1), hi, end in zip(spans, his, [j0 for j0, _, _ in spans[1:]] + [n]):
-        p0, p1 = A.indptr[r0], A.indptr[r1]
-        scatter = row_of[p0:p1] - r0 + (A.indices[p0:p1] - j0) * (r1 - r0)
-        a, b = np.arange(min(end, hi) - j0)[:, None], np.arange(hi - j0)
-        band = np.where(b >= a, kd + j0 + a + (j0 + b) * kd, (kd + 1) * n)
-        blocks.append((j0, hi, r0, r1, p0, p1, scatter, band))
-    return _BandPlan((m, n), pos, rows, A.data, counts, kd, tuple(blocks))
+        ``R^T R = B^T W B`` and ``R^T G = B^T W f``, columns in ``pos``
+        order, for the validated weights ``w`` and values ``f2``. ``R`` comes
+        in LAPACK upper band storage, ``ab[kd + i - j, j] = R[i, j]``. A dense
+        working window slides down one block at a time; the rows each block
+        finishes go straight into the band and the rest of the window is
+        carried to the next block. Neither rank nor the number of rows is
+        judged.
 
+        The last completed sweep is kept: the scaled rows ``sqrt(w)`` and
+        ``sqrt(w) f`` in sweep order, ``ab``, ``G`` and one checkpoint, the
+        window carried into the first block whose rows changed. The sweep
+        resumes at the checkpoint when that is at or before the first block
+        whose rows differ bitwise from the kept ones (a signed zero differs),
+        else at block 0.
+        """
+        from scipy.linalg.lapack import dtpqrt
+        n, kd, blocks = self.shape[1], self.kd, self.blocks
+        sqrt_w = np.sqrt(w[self.rows])
+        vals = self.data * np.repeat(sqrt_w, self.counts)
+        scaled = np.column_stack([sqrt_w, f2[self.rows] * sqrt_w[:, None]])
+        rhs = scaled[:, 1:]
 
-def _band_factor(plan: _BandPlan, w, f2, last=None) -> tuple[np.ndarray, np.ndarray]:
-    """The banded QR sweep: triangle ``R`` and values ``G`` of ``sqrt(W) B c = sqrt(W) f``.
+        k = rhs.shape[1]
+        restart = (0, np.zeros((0, k)))
+        first, mark = 0, restart
+        last = self._last
+        if last is not None and last[0].shape == scaled.shape:
+            changed = (scaled.view(np.uint64) != last[0].view(np.uint64)).any(axis=1)
+            row = changed.argmax() if changed.any() else scaled.shape[0]
+            first, mark = sum(r1 <= row for _, _, _, r1, *_ in blocks), last[3]
+        start, carried = mark if mark[0] <= first else restart
+        ab, G = last[1:3] if start else (np.zeros((kd + 1) * n + 1), np.zeros((n, k)))
+        self._last = None  # until the sweep completes, so one cut short leaves no stale state
+        for i, (j0, hi, r0, r1, p0, p1, scatter, band) in enumerate(blocks[start:], start):
+            # A checkpoint at block 0 could only restart the sweep, so when
+            # block 0 changed the last block takes it.
+            if i == (first or len(blocks) - 1):
+                mark = (i, carried)
+            width, done = hi - j0, band.shape[0]
+            top = np.zeros((width + k, width + k), order="F")
+            c = carried.shape[0]
+            top[:c, :c] = carried[:, :c]
+            top[:c, width:] = carried[:, c:]
+            new = np.zeros((r1 - r0) * (width + k))
+            new[scatter] = vals[p0:p1]
+            new = new.reshape((r1 - r0, width + k), order="F")
+            new[:, width:] = rhs[r0:r1]
+            top = dtpqrt(0, min(_BLOCK, width + k), top, new, overwrite_a=1, overwrite_b=1)[0]
+            ab[band] = top[:done, :width]
+            G[j0:j0 + done] = top[:done, width:]
+            carried = top[done:width, done:]
+        self._last = (scaled, ab, G, mark)
+        return ab[:-1].reshape(n, kd + 1).T, G
 
-    ``R^T R = B^T W B`` and ``R^T G = B^T W f``, columns in ``plan.pos``
-    order, for the validated weights ``w`` and values ``f2``. ``R`` comes in
-    LAPACK upper band storage, ``ab[kd + i - j, j] = R[i, j]`` with
-    ``plan.kd`` superdiagonals. A dense working window slides down one
-    block at a time; the rows each block finishes go straight into the band
-    and the rest of the window is carried to the next block. Neither rank
-    nor the number of rows is judged.
+    def __call__(self, weights, f) -> np.ndarray:
+        """Coefficients of the weighted problem on ``B``."""
+        from scipy.linalg.lapack import dtbtrs
+        m, n = self.shape
+        w, f2, squeeze = _weighted_system(m, weights, f)
+        ab, G = self.factor(w, f2)
+        diag = np.abs(ab[-1])
+        if not np.all(np.isfinite(diag)):
+            raise NumericError("triangular factor is not finite (the weighted system overflows)")
+        rank = np.count_nonzero(diag > RANK_RTOL * diag.max())
+        if rank < n:
+            raise RankDeficiencyError(f"collocation matrix has numerical rank {rank} < {n}")
+        c = dtbtrs(ab, G)[0]
+        return _finite(c[self.pos], squeeze)
 
-    ``last`` is the dict a solver keeps of its last completed sweep (empty
-    at first): the scaled rows ``sqrt(w)`` and ``sqrt(w) f`` in sweep
-    order, ``ab``, ``G`` and one checkpoint, the window carried into the
-    first block whose rows changed. The sweep resumes at the checkpoint
-    when that is at or before the first block whose rows differ bitwise
-    from the stored ones (a signed zero differs), else at block 0.
-    """
-    from scipy.linalg.lapack import dtpqrt
-    n, kd, blocks = plan.shape[1], plan.kd, plan.blocks
-    sqrt_w = np.sqrt(w[plan.rows])
-    vals = plan.data * np.repeat(sqrt_w, plan.counts)
-    scaled = np.column_stack([sqrt_w, f2[plan.rows] * sqrt_w[:, None]])
-    rhs = scaled[:, 1:]
+    def fold(self, weights, f):
+        """``(R, G)``: the rows of ``sqrt(W) B`` and ``sqrt(W) f`` folded into a triangle.
 
-    k = rhs.shape[1]
-    last = {} if last is None else last
-    restart = (0, np.zeros((0, k)))
-    first, mark = 0, restart
-    if last and last["scaled"].shape == scaled.shape:
-        changed = (scaled.view(np.uint64) != last["scaled"].view(np.uint64)).any(axis=1)
-        row = changed.argmax() if changed.any() else scaled.shape[0]
-        first, mark = sum(r1 <= row for _, _, _, r1, *_ in blocks), last["mark"]
-    start, carried = mark if mark[0] <= first else restart
-    ab, G = (last["ab"], last["G"]) if start else (np.zeros((kd + 1) * n + 1), np.zeros((n, k)))
-    last.clear()  # until the sweep completes, so one cut short leaves no stale state
-    for i, (j0, hi, r0, r1, p0, p1, scatter, band) in enumerate(blocks[start:], start):
-        # A checkpoint at block 0 could only restart the sweep, so when
-        # block 0 changed the last block takes it.
-        if i == (first or len(blocks) - 1):
-            mark = (i, carried)
-        width, done = hi - j0, band.shape[0]
-        top = np.zeros((width + k, width + k), order="F")
-        c = carried.shape[0]
-        top[:c, :c] = carried[:, :c]
-        top[:c, width:] = carried[:, c:]
-        new = np.zeros((r1 - r0) * (width + k))
-        new[scatter] = vals[p0:p1]
-        new = new.reshape((r1 - r0, width + k), order="F")
-        new[:, width:] = rhs[r0:r1]
-        top = dtpqrt(0, min(_BLOCK, width + k), top, new, overwrite_a=1, overwrite_b=1)[0]
-        ab[band] = top[:done, :width]
-        G[j0:j0 + done] = top[:done, width:]
-        carried = top[done:width, done:]
-    last.update(scaled=scaled, ab=ab, G=G, mark=mark)
-    return ab[:-1].reshape(n, kd + 1).T, G
-
-
-def _band_sweep(plan: _BandPlan, last, weights, f) -> np.ndarray:
-    """Coefficients of the weighted problem whose structure ``plan`` holds."""
-    from scipy.linalg.lapack import dtbtrs
-    m, n = plan.shape
-    w, f2, squeeze = _weighted_system(m, weights, f)
-    ab, G = _band_factor(plan, w, f2, last)
-    diag = np.abs(ab[-1])
-    if not np.all(np.isfinite(diag)):
-        raise NumericError("triangular factor is not finite (the weighted system overflows)")
-    rank = np.count_nonzero(diag > RANK_RTOL * diag.max())
-    if rank < n:
-        raise RankDeficiencyError(f"collocation matrix has numerical rank {rank} < {n}")
-    c = dtbtrs(ab, G)[0]
-    return _finite(c[plan.pos], squeeze)
-
-
-def _fold_rows(B, weights, f):
-    """``(R, G)``: the rows of ``sqrt(W) B`` and ``sqrt(W) f`` folded into a triangle.
-
-    ``R`` is CSR in ``B``'s column numbering with ``R^T R = B^T W B``, ``G``
-    the matching rows of values with ``R^T G = B^T W f`` (``f`` of shape
-    ``(m, k)``); rows of the triangle that are zero are left out. By
-    orthogonal invariance ``[R; sqrt(W') B']`` has the QR triangle of
-    ``[sqrt(W) B; sqrt(W') B']`` (Golub & Van Loan, §6.5), so rows whose
-    weights stay fixed are factored once and each solve sweeps only ``R``
-    and the rows that vary. A rank-deficient or underdetermined block folds
-    like any other: only the solve of the whole system judges the rank.
-    Raises :class:`NumericError` when the triangle or values overflow.
-    """
-    import scipy.sparse
-    plan = _band_plan(B)
-    n, kd = plan.shape[1], plan.kd
-    w, f2, _ = _weighted_system(plan.shape[0], weights, f)
-    ab, G = _band_factor(plan, w, f2)
-    if not (np.all(np.isfinite(ab)) and np.all(np.isfinite(G))):
-        raise NumericError("triangular factor is not finite (the weighted system overflows)")
-    j, t = np.nonzero(ab.T)
-    keep, row = np.unique(j + t - kd, return_inverse=True)
-    R = scipy.sparse.csr_matrix((ab[t, j], (row, np.argsort(plan.pos)[j])), shape=(keep.size, n))
-    return R, G[keep]
+        ``R`` is CSR in ``B``'s column numbering with ``R^T R = B^T W B``,
+        ``G`` the matching rows of values with ``R^T G = B^T W f`` (``f`` of
+        shape ``(m, k)``); rows of the triangle that are zero are left out.
+        By orthogonal invariance ``[R; sqrt(W') B']`` has the QR triangle of
+        ``[sqrt(W) B; sqrt(W') B']`` (Golub & Van Loan, §6.5), so rows whose
+        weights stay fixed are factored once and each solve sweeps only ``R``
+        and the rows that vary. A rank-deficient or underdetermined block
+        folds like any other: only the solve of the whole system judges the
+        rank. Raises :class:`NumericError` when the triangle or values
+        overflow.
+        """
+        import scipy.sparse
+        n, kd = self.shape[1], self.kd
+        w, f2, _ = _weighted_system(self.shape[0], weights, f)
+        ab, G = self.factor(w, f2)
+        if not (np.all(np.isfinite(ab)) and np.all(np.isfinite(G))):
+            raise NumericError("triangular factor is not finite (the weighted system overflows)")
+        j, t = np.nonzero(ab.T)
+        keep, row = np.unique(j + t - kd, return_inverse=True)
+        R = scipy.sparse.csr_matrix((ab[t, j], (row, np.argsort(self.pos)[j])), shape=(keep.size, n))
+        return R, G[keep]
 
 
 def _csr_penalty(P):
@@ -272,17 +264,14 @@ def weighted_solver(B, P=None, lam: float = 0.0):
     The work that depends on ``B`` alone is done here, once, so a loop that
     reweights one matrix pays per solve only for what the weights change.
 
-    At ``lam = 0`` (``P`` ignored, may be ``None``) this plans the banded QR
-    of :func:`solve_wls`: the canonical CSR copy, the column and row orders
-    and the block layout, with its row and column scatter indices and the
-    places of the finished rows in the band of ``R``. An underdetermined
-    ``B`` raises :class:`RankDeficiencyError` here. Each solve then
-    validates its input, scales the rows by ``sqrt(w)`` and runs the sweep,
-    the rank test on the band's diagonal and the banded triangular solve.
-    ``solve`` keeps the scaled rows, band, values and one carried window of
-    its last completed sweep, and starts the next at that checkpoint when
-    no row before it changed bitwise, else at block 0 (:func:`_band_factor`),
-    so one ``solve`` must not be called from two threads at once.
+    At ``lam = 0`` (``P`` ignored, may be ``None``) ``solve`` is the
+    :class:`_BandQR` of ``B``, which plans the banded QR of :func:`solve_wls`
+    here: the canonical CSR copy, the column and row orders and the block
+    layout. An underdetermined ``B`` raises :class:`RankDeficiencyError`
+    here. Each solve then validates its input, scales the rows by ``sqrt(w)``
+    and runs the sweep, the rank test on the band's diagonal and the banded
+    triangular solve. The sweep resumes where the rows last changed, so the
+    thread-safety caveat of :class:`_BandQR` holds for ``solve``.
 
     At ``lam > 0`` this builds the CSR copies of ``B``, ``B^T`` and ``lam P``
     (``P`` dense or sparse). Each solve forms ``A = 0.5 B^T W B + lam P`` in
@@ -297,13 +286,13 @@ def weighted_solver(B, P=None, lam: float = 0.0):
     if not 0 <= lam < math.inf:
         raise ValueError(f"penalty weight must be finite and non-negative, got {lam!r}")
     if lam == 0:
-        plan = _band_plan(B)
-        n = plan.shape[1]
-        if plan.rows.size < n:
+        solve = _BandQR(B)
+        n = solve.shape[1]
+        if solve.rows.size < n:
             raise RankDeficiencyError(
-                f"underdetermined system: {n} unknowns, {plan.rows.size} nonzero rows"
+                f"underdetermined system: {n} unknowns, {solve.rows.size} nonzero rows"
             )
-        return functools.partial(_band_sweep, plan, {})
+        return solve
     import scipy.linalg
     import scipy.sparse
     from scipy.sparse.csgraph import reverse_cuthill_mckee

@@ -15,6 +15,7 @@ from splinefit import (
     FitConfig,
     NumericError,
     RankDeficiencyError,
+    SplineFunction,
     SplineSpace,
     StagnationError,
     WeightedPointCloud,
@@ -79,13 +80,26 @@ def test_fit_config_rejects_non_finite_parameters(kwargs, value):
      (lambda: FitConfig(max_levels=1.5), "max_levels 1.5"),
      (lambda: irls_solve(SplineSpace(make_open_knot_vector((0.0, 1.0), 1)),
                          WeightedPointCloud([0.0, 0.5, 1.0], [0.0, 1.0, 0.0]), 1.5, 2.5),
-      "max_iter 2.5")],
+      "max_iter 2.5"),
+     (lambda: SplineFunction(SplineSpace(make_open_knot_vector((0.0, 1.0), 2)),
+                             [0.0, 1.0, 2.0]).evaluate_many([0.3], 1.7), "derivative order 1.7"),
+     (lambda: surface_space(2, 2).eval_basis_derivatives([0.1, 0.2], (0.9, 1.0)),
+      "derivative order 0.9"),
+     (lambda: make_open_knot_vector((0.0, 1.0), 2).basis_rows(np.array([0.5]), 1.5),
+      "derivative order 1.5"),
+     (lambda: uniform_interior((0.0, 1.0), 2.5), "count 2.5"),
+     (lambda: averaging_knots(np.linspace(0.0, 1.0, 12), 7.5, 3), "n 7.5"),
+     (lambda: averaging_knots(np.linspace(0.0, 1.0, 12), 7, 2.5), "degree 2.5"),
+     (lambda: feature_weighted_sites(10.5, (0.5,)), "m 10.5"),
+     (lambda: top_gradient_markers(np.linspace(0.0, 1.0, 5), np.arange(5.0), 2.5), "count 2.5")],
     ids=["knot-vector-degree", "open-knot-vector-degree", "max-iter", "max-levels",
-         "irls-max-iter"],
+         "irls-max-iter", "evaluate-many-order", "basis-derivatives-order", "basis-rows-order",
+         "uniform-interior-count", "averaging-knots-n", "averaging-knots-degree",
+         "feature-weighted-sites-m", "top-gradient-markers-count"],
 )
 def test_integer_argument_that_is_not_an_integer_is_refused(call, shown):
-    """A float used to be truncated (degree 2.7 built degree 2) or to fail later in numpy
-    or ``range`` with a bare ``TypeError``."""
+    """A float used to be truncated (degree 2.7 built degree 2, derivative order 1.7 the
+    first derivative) or to fail later in numpy or ``range`` with a bare ``TypeError``."""
     with pytest.raises(ValueError, match=rf"^{re.escape(shown)} is not an integer$"):
         call()
 
@@ -289,8 +303,9 @@ class TestRwlsFit:
         """Reweighting solves reuse their plans: a fit plans as often at 5 solves as at 20,
         and all of ``B`` at most once."""
         plans = []
-        plan = splinefit.wls._band_plan
-        monkeypatch.setattr(splinefit.wls, "_band_plan", lambda B: plans.append(B) or plan(B))
+        init = splinefit.wls._BandQR.__init__
+        monkeypatch.setattr(splinefit.wls._BandQR, "__init__",
+                            lambda self, B: plans.append(B) or init(self, B))
         markers = np.zeros(7, dtype=int)
         markers[[3, 4]] = 1
         cloud = WeightedPointCloud(seven_sites, seven_values, markers=markers)

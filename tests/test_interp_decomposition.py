@@ -579,8 +579,9 @@ class TestIrls:
 
     def test_collocation_is_planned_once(self, quad_spline_space, seven_cloud, monkeypatch):
         plans = []
-        plan = splinefit.wls._band_plan
-        monkeypatch.setattr(splinefit.wls, "_band_plan", lambda B: plans.append(B) or plan(B))
+        init = splinefit.wls._BandQR.__init__
+        monkeypatch.setattr(splinefit.wls._BandQR, "__init__",
+                            lambda self, B: plans.append(B) or init(self, B))
         _, trace = irls_solve(quad_spline_space, seven_cloud, 1.5, 6)
         assert len(trace) == 6 and len(plans) == 1
 

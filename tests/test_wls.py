@@ -230,7 +230,7 @@ def folded_problem():
     B, w, f = tensor_problem()
     vary = np.arange(0, 400, 7)
     fixed = np.setdiff1d(np.arange(400), vary)
-    R, g = splinefit.wls._fold_rows(B[fixed], w[fixed], f[fixed, None])
+    R, g = splinefit.wls._BandQR(B[fixed]).fold(w[fixed], f[fixed, None])
     stacked = scipy.sparse.vstack([R, B[vary]], format="csr")
     return stacked, np.concatenate([np.ones(R.shape[0]), w[vary]]), np.concatenate([g[:, 0], f[vary]])
 
@@ -251,11 +251,11 @@ class TestBlockRowSweep:
     @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
     def test_triangle_and_values_bit_identical_to_dense_sweep(self, case):
         B, w, f = SWEEP_CASES[case]()
-        plan = splinefit.wls._band_plan(B)
+        plan = splinefit.wls._BandQR(B)
         n, kd = plan.shape[1], plan.kd
         w, f2, _ = splinefit.wls._weighted_system(plan.shape[0], w, f)
         R_ref, G_ref = dense_band_factor(plan, w, f2)
-        ab, G = splinefit.wls._band_factor(plan, w, f2)
+        ab, G = plan.factor(w, f2)
         assert ab.shape == (kd + 1, n)
         i, j = np.indices((n, n))
         in_band = (j >= i) & (j - i <= kd)
@@ -266,7 +266,7 @@ class TestBlockRowSweep:
         assert G.tobytes() == G_ref.tobytes()
 
         # The fold's CSR is what the dense triangle gave, in B's column order.
-        R_fold, g = splinefit.wls._fold_rows(B, w, f2)
+        R_fold, g = splinefit.wls._BandQR(B).fold(w, f2)
         dense = R_ref[:, plan.pos]
         keep = np.flatnonzero(dense.any(axis=1))
         ref = scipy.sparse.csr_matrix(dense[keep])
@@ -278,7 +278,7 @@ class TestBlockRowSweep:
     def test_rank_deficiency_raises_what_the_dense_diagonal_gives(self):
         B, w, f = curve_problem()[2:]
         B = scipy.sparse.hstack([B, B[:, 2:3]], format="csr")
-        plan = splinefit.wls._band_plan(B)
+        plan = splinefit.wls._BandQR(B)
         R_ref, _ = dense_band_factor(plan, w, f[:, None])
         diag = np.abs(np.diagonal(R_ref))
         rank = np.count_nonzero(diag > RANK_RTOL * diag.max())
@@ -699,7 +699,7 @@ class TestResumedSweep:
     def test_every_solve_matches_a_fresh_one_bit_for_bit(self, data):
         case = data.draw(st.sampled_from(sorted(RESUME_CASES)), label="case")
         B, w, f = RESUME_CASES[case]()
-        plan = splinefit.wls._band_plan(B)
+        plan = splinefit.wls._BandQR(B)
         blocks = [plan.rows[r0:r1] for _, _, r0, r1, *_ in plan.blocks]
         assert len(blocks) > 1
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
@@ -733,9 +733,9 @@ class TestResumedSweep:
         """The folded system of a fit whose marked rows all lie in the last block."""
         B, w, f = long_curve_problem()
         vary = np.arange(290, 300)
-        R, g = splinefit.wls._fold_rows(B[:290], w[:290], f[:290, None])
+        R, g = splinefit.wls._BandQR(B[:290]).fold(w[:290], f[:290, None])
         stacked = scipy.sparse.vstack([R, B[vary]], format="csr")
-        assert len(splinefit.wls._band_plan(stacked).blocks) == 3
+        assert len(splinefit.wls._BandQR(stacked).blocks) == 3
         ones = np.ones(R.shape[0])
         scales = (1.0, 1.25, 1.5, 1.5, 1.75, 1.75, 1.75)
         weights = [np.concatenate([ones, w[vary] * s]) for s in scales]
